@@ -217,12 +217,12 @@ def relu(x: Tensor) -> Tensor:
 
 
 def softplus(x: Tensor) -> Tensor:
-    # logaddexp(0, x) == x + log1p(exp(-x)) on the large-x branch, so no overflow
-    out = np.logaddexp(0.0, x.values)
-    sig = 0.5 * (1.0 + np.tanh(0.5 * x.values))
+    # exp only ever sees -|x|, so neither tail overflows
+    out = np.maximum(x.values, 0.0) + np.log1p(np.exp(-np.abs(x.values)))
 
     def vjp(g):
-        return (g * sig,)
+        # the derivative sigmoid(x) equals 1 - exp(-softplus(x))
+        return (g * -np.expm1(-out),)
 
     return _make(out, (x,), vjp)
 
@@ -331,6 +331,71 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return da, db
 
     return _make(out, (a, b), vjp)
+
+
+def expert_mixture(z: Tensor, gamma: Tensor, weights: list[Tensor],
+                   biases: list[Tensor]) -> Tensor:
+    """Gate-weighted sum of E relu MLP experts that all read the same rows.
+
+    z: (N, d_z); gamma: (N, E) mixing weights; weights[i]: (E, d_i, d_i+1) and
+    biases[i]: (E, d_i+1) per layer, relu between layers and none after the
+    last. Returns (N, d_last) with row r = sum_e gamma[r, e] * expert_e(z[r]).
+
+    Because the experts share their input, the first layer of all of them is
+    one (N, d_z) x (d_z, E*h1) GEMM, and so are dz and dW1 in backward; deeper
+    layers are one GEMM per expert on strided (N, E, h) column blocks. Only
+    arrays this op allocates are written in place.
+    """
+    z, gamma = as_tensor(z), as_tensor(gamma)
+    if z.ndim != 2 or gamma.ndim != 2 or gamma.shape[0] != z.shape[0]:
+        raise DimensionError(f"expert_mixture needs (N, d) rows and (N, E) gates, "
+                             f"got {z.shape} and {gamma.shape}")
+    n_rows, d_z = z.shape
+    n_experts = gamma.shape[1]
+    width = d_z
+    for w, b in zip(weights, biases):
+        if w.shape[:2] != (n_experts, width) or b.shape != (n_experts, w.shape[-1]):
+            raise DimensionError(f"expert layer {w.shape} + {b.shape} does not take "
+                                 f"{n_experts} experts of width {width}")
+        width = w.shape[-1]
+
+    h1 = weights[0].shape[-1]
+    w1_flat = weights[0].values.transpose(1, 0, 2).reshape(d_z, n_experts * h1)
+    first = z.values @ w1_flat
+    first += biases[0].values.reshape(-1)
+    acts = [first.reshape(n_rows, n_experts, h1)]     # post-relu, except the last
+    for w, b in zip(weights[1:], biases[1:]):
+        prev = acts[-1]
+        np.maximum(prev, 0.0, out=prev)
+        nxt = np.empty((n_rows, n_experts, w.shape[-1]))
+        for e in range(n_experts):
+            np.matmul(prev[:, e], w.values[e], out=nxt[:, e])
+        nxt += b.values
+        acts.append(nxt)
+    out = np.einsum("ne,nek->nk", gamma.values, acts[-1])
+
+    def vjp(g):
+        d_gamma = np.einsum("nk,nek->ne", g, acts[-1])
+        d_act = gamma.values[:, :, None] * g[:, None, :]
+        d_ws, d_bs = [], []
+        for i in range(len(weights) - 1, 0, -1):
+            prev, w = acts[i - 1], weights[i].values
+            d_w = np.empty_like(w)
+            d_prev = np.empty_like(prev)
+            for e in range(n_experts):
+                np.matmul(prev[:, e].T, d_act[:, e], out=d_w[e])
+                np.matmul(d_act[:, e], w[e].T, out=d_prev[:, e])
+            d_ws.append(d_w)
+            d_bs.append(d_act.sum(axis=0))
+            np.multiply(d_prev, prev > 0.0, out=d_prev)
+            d_act = d_prev
+        d_first = d_act.reshape(n_rows, n_experts * h1)
+        d_w1 = (z.values.T @ d_first).reshape(d_z, n_experts, h1).transpose(1, 0, 2)
+        d_ws.append(np.ascontiguousarray(d_w1))
+        d_bs.append(d_first.sum(axis=0).reshape(n_experts, h1))
+        return (d_first @ w1_flat.T, d_gamma, *reversed(d_ws), *reversed(d_bs))
+
+    return _make(out, (z, gamma, *weights, *biases), vjp)
 
 
 def transpose(x: Tensor, *axes) -> Tensor:

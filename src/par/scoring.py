@@ -77,16 +77,11 @@ def mmoe_score(page_vec: Tensor, dense_feat: Tensor, influence: Tensor,
     gate_logits = ag.matmul(z, params.gate_w) + ag.reshape(params.gate_b, (n, 1, n_experts))
     gamma = ag.softmax(gate_logits, axis=-1)                       # (b, n, m, E)
 
-    # experts run on an (E, b*nm, d) layout: contiguous batched GEMMs
-    expert = ag.reshape(z, (1, b * n * m, z.shape[-1]))
-    last = len(params.expert_weights) - 1
-    for i, (w, eb) in enumerate(zip(params.expert_weights, params.expert_biases)):
-        expert = ag.matmul(expert, w) + ag.reshape(eb, (n_experts, 1, eb.shape[-1]))
-        if i < last:
-            expert = ag.relu(expert)
-    per_slot = ag.transpose(expert, (1, 0, 2))                     # (b*nm, E, d)
-    g3 = ag.reshape(gamma, (b * n * m, 1, n_experts))
-    combined = ag.reshape(ag.matmul(g3, per_slot), (b, n, m, expert.shape[-1]))
+    rows = b * n * m
+    mixed = ag.expert_mixture(ag.reshape(z, (rows, z.shape[-1])),
+                              ag.reshape(gamma, (rows, n_experts)),
+                              params.expert_weights, params.expert_biases)
+    combined = ag.reshape(mixed, (b, n, m, mixed.shape[-1]))
 
     return ag.sigmoid(_tower_forward(combined, params.tower_weights, params.tower_biases))
 

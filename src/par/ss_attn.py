@@ -71,9 +71,10 @@ def spatial_scaled_attention(x_flat: Tensor, distances: np.ndarray,
         if params.v is None:
             raise ContractError("distance scaling requested but steepness params absent")
         v3 = ag.reshape(params.v, (n_heads, 1, 1))
-        factor = learnable_sigmoid(distances, v3, params.sigma)    # (B, nm, nm)
+        # the 1/sqrt(d_a) scale rides on the small (B, nm, nm) factor
+        factor = learnable_sigmoid(distances, v3, params.sigma) / math.sqrt(d_a)
         factor = ag.reshape(factor, (1, n_heads, nm, nm))
-        logits = ag.softplus(raw) * factor / math.sqrt(d_a)
+        logits = ag.softplus(raw) * factor
     else:
         logits = raw / math.sqrt(d_a)
 

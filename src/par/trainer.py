@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +22,7 @@ from .config import TrainConfig, config_from_dict
 from .data_oracle import (Catalog, ClickOracle, PageRecord, atomic_write_text,
                           page_display_grids, pages_to_batch)
 from .embedding import PageBatch
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, NumericError
 from .metrics import MetricReport, compute_report
 from .model import ParModel
 from .scoring import rerank
@@ -67,17 +68,30 @@ class Checkpoint:
     def from_bytes(cls, blob: bytes) -> "Checkpoint":
         if blob[:8] != CHECKPOINT_MAGIC:
             raise ContractError("not a checkpoint file (bad magic)")
+        if len(blob) < 12:
+            raise ContractError("truncated checkpoint: header length missing")
         (head_len,) = struct.unpack("<I", blob[8:12])
-        header = json.loads(blob[12:12 + head_len].decode())
         offset = 12 + head_len
-        tensors: dict[str, np.ndarray] = {}
-        for meta in header["tensors"]:
-            count = int(np.prod(meta["shape"])) if meta["shape"] else 1
+        if len(blob) < offset:
+            raise ContractError(f"truncated checkpoint: header of {head_len} bytes, "
+                                f"{len(blob) - 12} present")
+        try:
+            header = json.loads(blob[12:offset].decode())
+            shapes = {meta["name"]: tuple(meta["shape"]) for meta in header["tensors"]}
+            need = 8 * sum(math.prod(shape) for shape in shapes.values())
+            checkpoint = cls(config=config_from_dict(header["config"]), epoch=header["epoch"],
+                             loss_history=list(header["loss_history"]))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ContractError(f"corrupt checkpoint header: {exc!r}") from None
+        if len(blob) - offset != need:
+            raise ContractError(f"checkpoint payload has {len(blob) - offset} bytes, "
+                                f"header shapes need {need}")
+        for name, shape in shapes.items():
+            count = math.prod(shape)
             raw = blob[offset:offset + 8 * count]
-            tensors[meta["name"]] = np.frombuffer(raw, dtype="<f8").reshape(meta["shape"]).copy()
+            checkpoint.tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
             offset += 8 * count
-        return cls(config=config_from_dict(header["config"]), epoch=header["epoch"],
-                   loss_history=list(header["loss_history"]), tensors=tensors)
+        return checkpoint
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
@@ -87,7 +101,11 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
-        return cls.from_bytes(Path(path).read_bytes())
+        try:
+            blob = Path(path).read_bytes()
+        except OSError as exc:
+            raise ConfigError(f"cannot read checkpoint {path}: {exc.strerror}") from None
+        return cls.from_bytes(blob)
 
     def build_model(self) -> ParModel:
         model = ParModel(self.config, self.config.build_layout(), self.config.seed)
@@ -143,11 +161,14 @@ def train(config: TrainConfig, pages: list[PageRecord], catalog: Catalog) -> Che
     for epoch in range(config.epochs):
         order = shuffle.permutation(data.size)
         total, weight = 0.0, 0
-        for start in range(0, data.size, config.batch_size):
+        for step, start in enumerate(range(0, data.size, config.batch_size), 1):
             idx = order[start:start + config.batch_size]
             sub = data.select(idx)
             model.zero_grads()
             loss, _ = model.loss(sub)
+            if not np.isfinite(loss.values):
+                raise NumericError(f"non-finite loss {float(loss.values)} at epoch "
+                                   f"{epoch + 1}, step {step}")
             ag.backward(loss)
             adam_step([model.params[k] for k in names],
                       [model.params[k].grad for k in names], state)

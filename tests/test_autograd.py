@@ -134,6 +134,17 @@ class TestElementwise:
         np.testing.assert_allclose(out.values, [800.0, 0.0], atol=1e-12)
         assert np.all(np.isfinite(out.values))
 
+    def test_softplus_matches_logaddexp_with_sigmoid_derivative(self):
+        x0 = np.concatenate([np.linspace(-800.0, 800.0, 16001), np.linspace(-40.0, 40.0, 8001)])
+        x = Tensor(x0.copy(), requires_grad=True)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = ag.softplus(x)
+            out.sum().backward()
+        np.testing.assert_allclose(out.values, np.logaddexp(0.0, x0), rtol=1e-15, atol=0.0)
+        tail = np.exp(-np.abs(x0))
+        sigmoid = np.where(x0 >= 0.0, 1.0 / (1.0 + tail), tail / (1.0 + tail))
+        np.testing.assert_allclose(x.grad, sigmoid, rtol=0.0, atol=1e-15)
+
     def test_relu(self):
         out = ag.relu(Tensor([-3.0, 3.0]))
         np.testing.assert_array_equal(out.values, [0.0, 3.0])
@@ -180,6 +191,74 @@ class TestElementwise:
     def test_broadcast_mismatch(self):
         with pytest.raises(DimensionError):
             Tensor(np.zeros((2, 3))) * Tensor(np.zeros((2, 4)))
+
+
+def broadcast_batched_mixture(z, gamma, weights, biases):
+    """Expert mixture as an (E, N, d) stack combined by (N, 1, E) @ (N, E, d)."""
+    x = z[None]
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        x = x @ w + b[:, None, :]
+        if i < len(weights) - 1:
+            x = np.maximum(x, 0.0)
+    return (gamma[:, None, :] @ x.transpose(1, 0, 2))[:, 0, :]
+
+
+def make_experts(rng, experts, dims):
+    weights = [Tensor(rng.uniform(-1, 1, (experts, dims[i], dims[i + 1])), requires_grad=True)
+               for i in range(len(dims) - 1)]
+    biases = [Tensor(rng.uniform(-1, 1, (experts, dims[i + 1])), requires_grad=True)
+              for i in range(len(dims) - 1)]
+    return weights, biases
+
+
+class TestExpertMixture:
+    @pytest.mark.parametrize("experts,dims", [
+        (3, (4, 5)), (3, (4, 5, 3)), (3, (4, 5, 3, 2)), (1, (4, 5, 3)),
+    ])
+    def test_gradients(self, experts, dims):
+        rng = np.random.default_rng(70 + len(dims) + experts)
+        weights, biases = make_experts(rng, experts, dims)
+        z = Tensor(rng.uniform(-1, 1, (6, dims[0])), requires_grad=True)
+        gamma = Tensor(rng.uniform(0, 1, (6, experts)), requires_grad=True)
+        probe = Tensor(rng.uniform(-1, 1, (6, dims[-1])))
+
+        def model():
+            return (ag.tanh(ag.expert_mixture(z, gamma, weights, biases)) * probe).sum()
+
+        params = {"z": z, "gamma": gamma}
+        params.update({f"w{i}": w for i, w in enumerate(weights)})
+        params.update({f"b{i}": b for i, b in enumerate(biases)})
+        report = finite_diff_check(model, params, tol_rel=1e-4)
+        assert report.passed, report.lines()
+
+    def test_matches_broadcast_batched_formula(self):
+        rng = np.random.default_rng(75)
+        weights, biases = make_experts(rng, 4, (7, 9, 6, 5))
+        z = rng.uniform(-1, 1, (50, 7))
+        gamma = rng.dirichlet(np.ones(4), size=50)
+        out = ag.expert_mixture(Tensor(z), Tensor(gamma), weights, biases)
+        ref = broadcast_batched_mixture(z, gamma, [w.values for w in weights],
+                                        [b.values for b in biases])
+        np.testing.assert_allclose(out.values, ref, rtol=0.0, atol=1e-12)
+
+    def test_no_grad_records_nothing(self):
+        rng = np.random.default_rng(76)
+        weights, biases = make_experts(rng, 2, (3, 4, 2))
+        z = Tensor(rng.uniform(-1, 1, (5, 3)), requires_grad=True)
+        with ag.no_grad():
+            out = ag.expert_mixture(z, Tensor(np.full((5, 2), 0.5)), weights, biases)
+        assert not out.requires_grad
+        assert out._parents == () and out._vjp is None
+
+    def test_layer_shape_mismatch(self):
+        rng = np.random.default_rng(77)
+        weights, biases = make_experts(rng, 2, (3, 4, 2))
+        with pytest.raises(DimensionError):
+            ag.expert_mixture(Tensor(np.zeros((5, 4))), Tensor(np.zeros((5, 2))),
+                              weights, biases)
+        with pytest.raises(DimensionError):
+            ag.expert_mixture(Tensor(np.zeros((5, 3))), Tensor(np.zeros((5, 3))),
+                              weights, biases)
 
 
 class TestGraph:

@@ -214,3 +214,27 @@ class TestErrorSurface:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: ConfigError:")
         assert "\n" not in err
+
+    @staticmethod
+    def _single_error_line(capsys, kind):
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: {kind}:"), err
+        assert "\n" not in err
+
+    def test_truncated_checkpoint_single_line_error(self, workspace, checkpoint, tmp_path,
+                                                    capsys):
+        root, config, data = workspace
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(checkpoint.read_bytes()[:-4])
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(cut), "--data", str(data),
+                     "--out", str(tmp_path / "report")]) == 1
+        self._single_error_line(capsys, "ContractError")
+
+    @pytest.mark.parametrize("command", ["eval", "rerank"])
+    def test_missing_checkpoint_single_line_error(self, workspace, tmp_path, capsys, command):
+        root, config, data = workspace
+        capsys.readouterr()
+        assert main([command, "--checkpoint", str(tmp_path / "none.ckpt"), "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 1
+        self._single_error_line(capsys, "ConfigError")

@@ -6,9 +6,10 @@ import time
 import numpy as np
 import pytest
 
+from par import trainer
 from par.config import TrainConfig, with_variant
 from par.data_oracle import build_dataset
-from par.errors import ConfigError, ContractError
+from par.errors import ConfigError, ContractError, NumericError
 from par.trainer import Checkpoint, evaluate, gradcheck, tiny_gradcheck_config, train
 
 
@@ -69,6 +70,18 @@ class TestTrain:
         looked_up = model.item_table.lookup(np.array([0]))
         np.testing.assert_array_equal(looked_up.values, 0.0)
 
+    def test_non_finite_loss_names_epoch_and_step(self, toy_dataset, monkeypatch):
+        config, catalog, train_pages, _ = toy_dataset
+
+        class NanModel(trainer.ParModel):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.params["moe.tower_b0"].values[0, 0] = np.nan
+
+        monkeypatch.setattr(trainer, "ParModel", NanModel)
+        with pytest.raises(NumericError, match=r"epoch 1, step 1\b"):
+            train(config, train_pages, catalog)
+
     def test_catalog_mismatch_rejected(self, toy_dataset):
         config, catalog, train_pages, _ = toy_dataset
         bad = dataclasses.replace(config, items_per_theme=13)
@@ -104,6 +117,16 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self):
         with pytest.raises(ContractError):
             Checkpoint.from_bytes(b"NOTACKPT" + b"\x00" * 16)
+
+    def test_truncated_or_padded_rejected(self, toy_dataset):
+        config, catalog, train_pages, _ = toy_dataset
+        blob = train(dataclasses.replace(config, epochs=0), train_pages, catalog).to_bytes()
+        head_end = 12 + int.from_bytes(blob[8:12], "little")
+        for cut in (10, 12, head_end - 5, head_end, head_end + 8, len(blob) - 3):
+            with pytest.raises(ContractError):
+                Checkpoint.from_bytes(blob[:cut])
+        with pytest.raises(ContractError):
+            Checkpoint.from_bytes(blob + b"\x00" * 8)
 
     def test_variant_checkpoint_rebuilds_variant_model(self, toy_dataset):
         config, catalog, train_pages, _ = toy_dataset
