@@ -15,15 +15,14 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import VARIANTS, TrainConfig, load_config, with_variant
 from .data_oracle import (atomic_write_text, load_catalog, load_pages, pages_to_batch,
                           write_catalog, write_pages)
 from .errors import ConfigError, ParError
 from .metrics import ReportTable, report_timestamp
 from .scoring import rerank
-from .trainer import Checkpoint, evaluate, gradcheck, tiny_gradcheck_config, train
+from .trainer import (Checkpoint, evaluate, gradcheck, tiny_gradcheck_config, train,
+                      validate_dataset)
 from .trainer import _score_pages
 
 log = logging.getLogger(__name__)
@@ -84,16 +83,14 @@ def cmd_rerank(args) -> int:
     checkpoint = Checkpoint.load(args.checkpoint)
     config = checkpoint.config
     pages, catalog = _load_split(args.data, args.split)
+    validate_dataset(config, pages, catalog)
     layout = config.build_layout()
-    model = checkpoint.build_model()
-    scores = _score_pages(model, pages_to_batch(pages, catalog, layout, config.t))
+    batch = pages_to_batch(pages, catalog, layout, config.t)
+    scores = _score_pages(checkpoint.build_model(), batch)
 
     lines = []
     for p, page in enumerate(pages):
-        mask = np.zeros((layout.n, layout.m))
-        for i in range(layout.n):
-            mask[i, :layout.lengths[i]] = 1.0
-        perms = rerank(scores[p], mask)
+        perms = rerank(scores[p], batch.mask[p])
         lines.append(json.dumps({
             "user": page.user_id,
             "permutations": [[int(k) for k in perms[i, :layout.lengths[i]]]
@@ -107,8 +104,7 @@ def cmd_rerank(args) -> int:
 def cmd_eval(args) -> int:
     checkpoint = Checkpoint.load(args.checkpoint)
     pages, catalog = _load_split(args.data, "test")
-    eval_seed = args.seed if args.seed is not None else None
-    reports = evaluate(checkpoint, pages, catalog, eval_seed=eval_seed,
+    reports = evaluate(checkpoint, pages, catalog, eval_seed=args.seed,
                        relevance_source=args.relevance)
     roles = checkpoint.config.build_layout().roles
     table = ReportTable(roles=roles)

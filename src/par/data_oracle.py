@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,15 +28,7 @@ from .config import TrainConfig
 from .embedding import PageBatch
 from .errors import DataError
 from .layout import PageLayout, manhattan_distance_matrix
-
-
-def worker_count() -> int:
-    """Worker cap from PAR_THREADS; defaults to 1 for strict determinism."""
-    raw = os.environ.get("PAR_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+from .scoring import Mlp, glorot, mlp
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -125,12 +116,22 @@ class Catalog:
 
     @classmethod
     def from_json(cls, text: str) -> "Catalog":
-        data = json.loads(text)
-        return cls(data["themes"], data["items_per_theme"], data["true_dim"],
-                   data["seed"], np.asarray(data["item_theme"], dtype=np.int64),
-                   np.asarray(data["true_emb"], dtype=np.float64),
-                   np.asarray(data["quality"], dtype=np.float64),
-                   float(data.get("theme_mix", 0.0)))
+        try:
+            data = json.loads(text)
+            catalog = cls(_int(data["themes"]), _int(data["items_per_theme"]),
+                          _int(data["true_dim"]), _int(data["seed"]),
+                          np.asarray(data["item_theme"], dtype=np.int64),
+                          np.asarray(data["true_emb"], dtype=np.float64),
+                          np.asarray(data["quality"], dtype=np.float64),
+                          float(data.get("theme_mix", 0.0)))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"catalog line 1: {_reason(exc)}") from None
+        vocab, dim = catalog.vocab_size, catalog.true_dim
+        if (catalog.item_theme.shape != (vocab,) or catalog.true_emb.shape != (vocab, dim)
+                or catalog.quality.shape != (vocab, 2)):
+            raise DataError(f"catalog arrays do not fit {catalog.themes} themes x "
+                            f"{catalog.items_per_theme} items of dimension {dim}")
+        return catalog
 
 
 @dataclass
@@ -246,14 +247,9 @@ def generate_page(catalog: Catalog, user: UserProfile, layout: PageLayout,
 def generate_pages(catalog: Catalog, users: list[UserProfile], layout: PageLayout,
                    pos_per_list: int, master_seed: int,
                    quality_weights: np.ndarray | None = None) -> list[PageRecord]:
-    """One page per user; per-user derived seeds keep any worker split exact."""
-    workers = worker_count()
-    build = lambda u: generate_page(catalog, u, layout, pos_per_list, master_seed,
-                                    quality_weights)
-    if workers == 1:
-        return [build(u) for u in users]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(build, users))
+    """One page per user, each drawn from its own (master_seed, user) stream."""
+    return [generate_page(catalog, u, layout, pos_per_list, master_seed, quality_weights)
+            for u in users]
 
 
 # -- initial rankers ----------------------------------------------------------
@@ -263,20 +259,20 @@ class InitialRanker:
     """One hidden layer over [user latent, item true embedding]."""
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator):
-        limit = np.sqrt(6.0 / (in_dim + hidden))
-        self.w0 = Tensor(rng.uniform(-limit, limit, (in_dim, hidden)), requires_grad=True)
-        self.b0 = Tensor(np.zeros(hidden), requires_grad=True)
-        limit = np.sqrt(6.0 / (hidden + 1))
-        self.w1 = Tensor(rng.uniform(-limit, limit, (hidden, 1)), requires_grad=True)
-        self.b1 = Tensor(np.zeros(1), requires_grad=True)
+        w0 = Tensor(glorot(rng, (in_dim, hidden)), requires_grad=True)
+        w1 = Tensor(glorot(rng, (hidden, 1)), requires_grad=True)
+        self.net = Mlp(weights=[w0, w1],
+                       biases=[Tensor(np.zeros(hidden), requires_grad=True),
+                               Tensor(np.zeros(1), requires_grad=True)])
 
     @property
     def params(self) -> list[Tensor]:
-        return [self.w0, self.b0, self.w1, self.b1]
+        return self.net.weights + self.net.biases
 
     def scores(self, features: np.ndarray) -> np.ndarray:
-        hidden = np.maximum(features @ self.w0.values + self.b0.values, 0.0)
-        return (hidden @ self.w1.values + self.b1.values).reshape(-1)
+        """Scores of (..., in_dim) feature rows: (...)."""
+        with ag.no_grad():
+            return mlp(Tensor(features), self.net).values.reshape(features.shape[:-1])
 
     def train(self, features: np.ndarray, targets: np.ndarray, epochs: int,
               lr: float, rng: np.random.Generator, batch_size: int = 256) -> None:
@@ -286,11 +282,8 @@ class InitialRanker:
             order = rng.permutation(count)
             for start in range(0, count, batch_size):
                 idx = order[start:start + batch_size]
-                x = Tensor(features[idx])
-                y = Tensor(targets[idx].reshape(-1, 1))
-                hidden = ag.relu(ag.matmul(x, self.w0) + self.b0)
-                pred = ag.matmul(hidden, self.w1) + self.b1
-                err = pred - y
+                pred = mlp(Tensor(features[idx]), self.net)
+                err = pred - Tensor(targets[idx].reshape(-1, 1))
                 loss = (err * err).sum() / len(idx)
                 for p in self.params:
                     p.grad = None
@@ -303,34 +296,37 @@ def train_initial_rankers(pages: list[PageRecord], users: dict[int, UserProfile]
                           master_seed: int) -> list[InitialRanker]:
     """One pointwise ranker per list position, fit to noisy affinity targets."""
     rankers = []
-    n = len(pages[0].lists) if pages else 0
-    for i in range(n):
+    d = catalog.true_dim
+    for i in range(len(pages[0].lists) if pages else 0):
         rng = np.random.default_rng(np.random.SeedSequence([master_seed, 0x4A4E, i]))
-        feats, targets = [], []
-        for page in pages:
-            latent = users[page.user_id].latent
-            for item in page.lists[i].items:
-                emb = catalog.true_emb[item]
-                feats.append(np.concatenate([latent, emb]))
-                targets.append(latent @ emb + config.label_noise * rng.standard_normal())
-        feats = np.asarray(feats)
-        targets = np.asarray(targets)
-        ranker = InitialRanker(2 * catalog.true_dim, config.ranker_hidden, rng)
+        feats = _ranker_features(pages, i, users, catalog).reshape(-1, 2 * d)
+        targets = np.array([f[:d] @ f[d:] + config.label_noise * rng.standard_normal()
+                            for f in feats])
+        ranker = InitialRanker(2 * d, config.ranker_hidden, rng)
         ranker.train(feats, targets, config.ranker_epochs, config.ranker_lr, rng)
         rankers.append(ranker)
     return rankers
 
 
+def _ranker_features(pages: list[PageRecord], i: int, users: dict[int, UserProfile],
+                     catalog: Catalog) -> np.ndarray:
+    """[user latent, item true embedding] rows of list i: (pages, items, 2*true_dim)."""
+    latents = np.stack([users[page.user_id].latent for page in pages])[:, None, :]
+    emb = catalog.true_emb[np.array([page.lists[i].items for page in pages])]
+    return np.concatenate([np.broadcast_to(latents, emb.shape), emb], axis=-1)
+
+
 def initial_rank(pages: list[PageRecord], rankers: list[InitialRanker],
                  users: dict[int, UserProfile], catalog: Catalog) -> None:
-    """Set every list's display order to its ranker's descending scores."""
-    for page in pages:
-        latent = users[page.user_id].latent
-        for i, lst in enumerate(page.lists):
-            feats = np.stack([np.concatenate([latent, catalog.true_emb[item]])
-                              for item in lst.items])
-            scores = rankers[i].scores(feats)
-            lst.init_order = [int(k) for k in np.argsort(-scores, kind="stable")]
+    """Set every list's display order to its ranker's descending scores.
+
+    Each ranker scores its list position on all pages in one batch.
+    """
+    for i, ranker in enumerate(rankers):
+        feats = _ranker_features(pages, i, users, catalog)
+        orders = np.argsort(-ranker.scores(feats), axis=1, kind="stable")
+        for page, order in zip(pages, orders):
+            page.lists[i].init_order = [int(k) for k in order]
 
 
 # -- oracle click model --------------------------------------------------------
@@ -339,23 +335,21 @@ def initial_rank(pages: list[PageRecord], rankers: list[InitialRanker],
 class ClickOracle:
     """Ground-truth click probabilities for items displayed on a layout.
 
-    Dissimilarity is measured against the items within `neighbor_radius`
-    Manhattan steps (excluding the slot itself).
+    Dissimilarity is measured against the items at Manhattan distance 1.
     """
 
     def __init__(self, catalog: Catalog, layout: PageLayout,
-                 eta1: float = 0.4, eta2: float = 0.5, neighbor_radius: int = 1):
+                 eta1: float = 0.4, eta2: float = 0.5):
         self.catalog = catalog
         self.layout = layout
         self.eta1 = eta1
         self.eta2 = eta2
-        self.neighbor_radius = neighbor_radius
         n, m = layout.n, layout.m
         distances = manhattan_distance_matrix(layout)
         real = np.zeros(n * m, dtype=bool)
         for i in range(n):
             real[i * m:i * m + layout.lengths[i]] = True
-        within = (distances >= 1) & (distances <= neighbor_radius)
+        within = distances == 1
         self._neighbors = [np.where(within[p] & real)[0] if real[p] else
                            np.empty(0, dtype=np.int64) for p in range(n * m)]
         pos = np.arange(1, m + 1, dtype=np.float64)
@@ -445,19 +439,44 @@ def pages_to_jsonl(pages: list[PageRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int(value) -> int:
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r:.60}")
+    return value
+
+
+def _list(value, kinds: frozenset = frozenset({int})) -> list:
+    if type(value) is not list or not set(map(type, value)) <= kinds:
+        raise TypeError(f"expected a list of {'/'.join(sorted(k.__name__ for k in kinds))}, "
+                        f"got {value!r:.60}")
+    return value
+
+
+def _reason(exc: Exception) -> str:
+    if isinstance(exc, json.JSONDecodeError):
+        return f"not JSON ({exc.msg})"
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
 def pages_from_jsonl(text: str) -> list[PageRecord]:
+    """Parse page lines; a malformed line raises DataError naming it."""
     pages = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        data = json.loads(line)
-        pages.append(PageRecord(
-            user_id=data["user"],
-            history=data["history"],
-            lists=[ListRecord(theme=l["theme"], items=l["items"], rel=l["rel"],
-                              init_order=l["init_order"], clicks=l["clicks"],
-                              probs=l["probs"]) for l in data["lists"]],
-        ))
+        try:
+            data = json.loads(line)
+            pages.append(PageRecord(
+                user_id=_int(data["user"]),
+                history=_list(data["history"]),
+                lists=[ListRecord(theme=_int(l["theme"]), items=_list(l["items"]),
+                                  rel=_list(l["rel"]), init_order=_list(l["init_order"]),
+                                  clicks=_list(l["clicks"]),
+                                  probs=_list(l["probs"], frozenset({int, float})))
+                       for l in _list(data["lists"], frozenset({dict}))],
+            ))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"page line {lineno}: {_reason(exc)}") from None
     return pages
 
 
@@ -465,8 +484,15 @@ def write_pages(pages: list[PageRecord], path: str | Path) -> None:
     atomic_write_text(path, pages_to_jsonl(pages))
 
 
+def _load(path: str | Path, parse):
+    try:
+        return parse(Path(path).read_text())
+    except (DataError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def load_pages(path: str | Path) -> list[PageRecord]:
-    return pages_from_jsonl(Path(path).read_text())
+    return _load(path, pages_from_jsonl)
 
 
 def write_catalog(catalog: Catalog, path: str | Path) -> None:
@@ -474,7 +500,7 @@ def write_catalog(catalog: Catalog, path: str | Path) -> None:
 
 
 def load_catalog(path: str | Path) -> Catalog:
-    return Catalog.from_json(Path(path).read_text())
+    return _load(path, Catalog.from_json)
 
 
 # -- dataset assembly ----------------------------------------------------------

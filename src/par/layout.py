@@ -14,9 +14,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-VERTICAL = "vertical"
-HORIZONTAL = "horizontal"
-
 
 @dataclass(frozen=True)
 class PageLayout:
@@ -26,13 +23,12 @@ class PageLayout:
     m: int
     lengths: tuple[int, ...]
     coords: dict[tuple[int, int], tuple[int, int]]
-    orientations: tuple[str, ...]
     roles: tuple[str, ...]
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ConfigError(f"layout needs n, m >= 1, got n={self.n}, m={self.m}")
-        if len(self.lengths) != self.n or len(self.orientations) != self.n or len(self.roles) != self.n:
+        if len(self.lengths) != self.n or len(self.roles) != self.n:
             raise ConfigError("per-list metadata must have one entry per list")
         seen = set()
         for i in range(self.n):
@@ -77,7 +73,6 @@ def stacked_preset(n: int, m: int) -> PageLayout:
         m=m,
         lengths=(m,) * n,
         coords=coords,
-        orientations=(HORIZONTAL,) * n,
         roles=tuple(f"h{i + 1}" for i in range(n)),
     )
 
@@ -107,7 +102,6 @@ def fshape_preset(v_len: int, h_count: int, h_len: int) -> PageLayout:
         m=max(v_len, h_len),
         lengths=(v_len,) + (h_len,) * h_count,
         coords=coords,
-        orientations=(VERTICAL,) + (HORIZONTAL,) * h_count,
         roles=("v",) + tuple(f"h{i + 1}" for i in range(h_count)),
     )
 

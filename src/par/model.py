@@ -21,14 +21,9 @@ from .hds_attn import (AggregationParams, DualSideParams, candidate_self_attenti
                        dual_side_attention, item_level_aggregation,
                        list_level_aggregation, list_level_self_attention)
 from .layout import PageLayout, manhattan_distance_matrix
-from .scoring import (DenseNetParams, MMoEParams, SingleMlpParams, bce_loss,
-                      dense_network, mmoe_score, single_mlp_score)
+from .scoring import (MMoEParams, Mlp, bce_loss, dense_network, glorot, mmoe_score,
+                      single_mlp_score)
 from .ss_attn import SSAttnParams, spatial_scaled_attention
-
-
-def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    limit = math.sqrt(6.0 / (shape[-2] + shape[-1]))
-    return rng.uniform(-limit, limit, size=shape)
 
 
 def _vector(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -101,44 +96,24 @@ class ParModel:
                 sigma=c.sigma,
             )
 
-        self.dense: DenseNetParams | None = None
+        self.dense: Mlp | None = None
         if not c.dn:
-            dims = (c.d_x,) + c.dense_hidden + (c.d_r,)
-            self.dense = DenseNetParams(
-                weights=[self._glorot(f"dense.w{i}", (dims[i], dims[i + 1]))
-                         for i in range(len(dims) - 1)],
-                biases=[self._zeros(f"dense.b{i}", (dims[i + 1],))
-                        for i in range(len(dims) - 1)],
-            )
+            self.dense = self._mlp("dense.w", "dense.b", (c.d_x,) + c.dense_hidden + (c.d_r,))
 
         d_z = c.d_l + c.d_r + c.d_o
         self.moe: MMoEParams | None = None
-        self.head: SingleMlpParams | None = None
+        self.head: Mlp | None = None
         if not c.mmoe:
-            e_dims = (d_z,) + c.expert_hidden
-            t_dims = (c.expert_hidden[-1],) + c.tower_hidden + (1,)
             self.moe = MMoEParams(
-                expert_weights=[self._glorot(f"moe.expert_w{i}",
-                                             (c.experts, e_dims[i], e_dims[i + 1]))
-                                for i in range(len(e_dims) - 1)],
-                expert_biases=[self._zeros(f"moe.expert_b{i}", (c.experts, e_dims[i + 1]))
-                               for i in range(len(e_dims) - 1)],
+                experts=self._mlp("moe.expert_w", "moe.expert_b", (d_z,) + c.expert_hidden,
+                                  stack=(c.experts,)),
                 gate_w=self._glorot("moe.gate_w", (c.n, d_z, c.experts)),
                 gate_b=self._zeros("moe.gate_b", (c.n, c.experts)),
-                tower_weights=[self._glorot(f"moe.tower_w{i}",
-                                            (c.n, t_dims[i], t_dims[i + 1]))
-                               for i in range(len(t_dims) - 1)],
-                tower_biases=[self._zeros(f"moe.tower_b{i}", (c.n, t_dims[i + 1]))
-                              for i in range(len(t_dims) - 1)],
+                towers=self._mlp("moe.tower_w", "moe.tower_b",
+                                 (c.expert_hidden[-1],) + c.tower_hidden + (1,), stack=(c.n,)),
             )
         else:
-            h_dims = (d_z,) + c.expert_hidden + (1,)
-            self.head = SingleMlpParams(
-                weights=[self._glorot(f"head.w{i}", (h_dims[i], h_dims[i + 1]))
-                         for i in range(len(h_dims) - 1)],
-                biases=[self._zeros(f"head.b{i}", (h_dims[i + 1],))
-                        for i in range(len(h_dims) - 1)],
-            )
+            self.head = self._mlp("head.w", "head.b", (d_z,) + c.expert_hidden + (1,))
 
     # -- parameter bookkeeping ------------------------------------------
 
@@ -156,13 +131,22 @@ class ParModel:
         return self._register(name, Tensor(values, requires_grad=True))
 
     def _glorot(self, name: str, shape: tuple[int, ...]) -> Tensor:
-        return self._new(name, _glorot(self._stream(name), shape))
+        return self._new(name, glorot(self._stream(name), shape))
 
     def _zeros(self, name: str, shape: tuple[int, ...]) -> Tensor:
         return self._new(name, np.zeros(shape))
 
     def _query(self, name: str, dim: int) -> Tensor:
         return self._new(name, _vector(self._stream(name), dim))
+
+    def _mlp(self, w_name: str, b_name: str, dims: tuple[int, ...],
+             stack: tuple[int, ...] = ()) -> Mlp:
+        """Glorot weights then zero biases, named w_name{i} and b_name{i}."""
+        layers = range(len(dims) - 1)
+        return Mlp(weights=[self._glorot(f"{w_name}{i}", stack + (dims[i], dims[i + 1]))
+                            for i in layers],
+                   biases=[self._zeros(f"{b_name}{i}", stack + (dims[i + 1],))
+                           for i in layers])
 
     @property
     def params(self) -> dict[str, Tensor]:

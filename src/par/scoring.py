@@ -8,6 +8,7 @@ squashing so scores live in (0, 1) as the cross-entropy loss requires.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +21,15 @@ CLAMP = 1e-12
 
 
 @dataclass
-class DenseNetParams:
-    """Shared MLP over item embeddings; relu hidden layers, linear output."""
+class Mlp:
+    """ReLU MLP: relu after every layer but the last, none on the output.
 
-    weights: list[Tensor]  # [(d_in, h1), (h1, h2), ...]
+    weights[i] is (d_i, d_i+1) and biases[i] is (d_i+1,); a net stacked k times
+    on a leading axis (one per list or per expert) has (k, d_i, d_i+1) weights
+    and (k, d_i+1) biases.
+    """
+
+    weights: list[Tensor]
     biases: list[Tensor]
 
 
@@ -31,31 +37,41 @@ class DenseNetParams:
 class MMoEParams:
     """Shared experts plus one gate and one tower per list."""
 
-    expert_weights: list[Tensor]  # stacked (E, d_in, d_out) per layer
-    expert_biases: list[Tensor]   # stacked (E, d_out)
-    gate_w: Tensor                # (n, d_z, E)
-    gate_b: Tensor                # (n, E)
-    tower_weights: list[Tensor]   # stacked (n, d_in, d_out) per layer
-    tower_biases: list[Tensor]    # stacked (n, d_out)
+    experts: Mlp     # stacked on (E,)
+    gate_w: Tensor   # (n, d_z, E)
+    gate_b: Tensor   # (n, E)
+    towers: Mlp      # stacked on (n,)
 
 
-@dataclass
-class SingleMlpParams:
-    """Shared replacement head used by the no-mixture ablation."""
-
-    weights: list[Tensor]
-    biases: list[Tensor]
+def glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    limit = math.sqrt(6.0 / (shape[-2] + shape[-1]))
+    return rng.uniform(-limit, limit, size=shape)
 
 
-def dense_network(x_emb: Tensor, params: DenseNetParams) -> Tensor:
-    """Shared MLP per item: (b, n, m, d_x) -> (b, n, m, d_r)."""
-    out = x_emb
+def mlp(x: Tensor, params: Mlp) -> Tensor:
+    """(..., d_in) -> (..., d_out); a stacked net maps (..., k, rows, d_in)."""
+    out = x
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        if b.ndim == 2:
+            b = ag.reshape(b, (b.shape[0], 1, b.shape[1]))
         out = ag.matmul(out, w) + b
         if i < last:
             out = ag.relu(out)
     return out
+
+
+def dense_network(x_emb: Tensor, params: Mlp) -> Tensor:
+    """Shared MLP per item: (b, n, m, d_x) -> (b, n, m, d_r)."""
+    return mlp(x_emb, params)
+
+
+def _slot_input(page_vec: Tensor, dense_feat: Tensor, influence: Tensor) -> Tensor:
+    """Per-slot scoring input concat([page, dense_feat, influence]): (b, n, m, d_z)."""
+    b, n, m, _ = dense_feat.shape
+    d_l = page_vec.shape[-1]
+    page = ag.broadcast_to(ag.reshape(page_vec, (b, 1, 1, d_l)), (b, n, m, d_l))
+    return ag.concat([page, dense_feat, influence], axis=-1)
 
 
 def mmoe_score(page_vec: Tensor, dense_feat: Tensor, influence: Tensor,
@@ -69,9 +85,7 @@ def mmoe_score(page_vec: Tensor, dense_feat: Tensor, influence: Tensor,
     b, n, m, _ = dense_feat.shape
     if params.gate_w.shape[0] != n:
         raise ContractError(f"params built for {params.gate_w.shape[0]} lists, batch has {n}")
-    d_l = page_vec.shape[-1]
-    page = ag.broadcast_to(ag.reshape(page_vec, (b, 1, 1, d_l)), (b, n, m, d_l))
-    z = ag.concat([page, dense_feat, influence], axis=-1)          # (b, n, m, d_z)
+    z = _slot_input(page_vec, dense_feat, influence)
 
     n_experts = params.gate_w.shape[-1]
     gate_logits = ag.matmul(z, params.gate_w) + ag.reshape(params.gate_b, (n, 1, n_experts))
@@ -80,37 +94,17 @@ def mmoe_score(page_vec: Tensor, dense_feat: Tensor, influence: Tensor,
     rows = b * n * m
     mixed = ag.expert_mixture(ag.reshape(z, (rows, z.shape[-1])),
                               ag.reshape(gamma, (rows, n_experts)),
-                              params.expert_weights, params.expert_biases)
+                              params.experts.weights, params.experts.biases)
     combined = ag.reshape(mixed, (b, n, m, mixed.shape[-1]))
-
-    return ag.sigmoid(_tower_forward(combined, params.tower_weights, params.tower_biases))
-
-
-def _tower_forward(x: Tensor, weights: list[Tensor], biases: list[Tensor]) -> Tensor:
-    b, n, m, _ = x.shape
-    out = x
-    last = len(weights) - 1
-    for i, (w, tb) in enumerate(zip(weights, biases)):
-        out = ag.matmul(out, w) + ag.reshape(tb, (n, 1, tb.shape[-1]))
-        if i < last:
-            out = ag.relu(out)
-    return ag.reshape(out, (b, n, m))
+    return ag.sigmoid(ag.reshape(mlp(combined, params.towers), (b, n, m)))
 
 
 def single_mlp_score(page_vec: Tensor, dense_feat: Tensor, influence: Tensor,
-                     params: SingleMlpParams) -> Tensor:
+                     params: Mlp) -> Tensor:
     """Shared-MLP head (mixture ablation): (b, n, m) in (0, 1)."""
     b, n, m, _ = dense_feat.shape
-    d_l = page_vec.shape[-1]
-    page = ag.broadcast_to(ag.reshape(page_vec, (b, 1, 1, d_l)), (b, n, m, d_l))
-    z = ag.concat([page, dense_feat, influence], axis=-1)
-    out = z
-    last = len(params.weights) - 1
-    for i, (w, sb) in enumerate(zip(params.weights, params.biases)):
-        out = ag.matmul(out, w) + sb
-        if i < last:
-            out = ag.relu(out)
-    return ag.sigmoid(ag.reshape(out, (b, n, m)))
+    z = _slot_input(page_vec, dense_feat, influence)
+    return ag.sigmoid(ag.reshape(mlp(z, params), (b, n, m)))
 
 
 def bce_loss(y_hat: Tensor, y: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -133,11 +127,4 @@ def rerank(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """
     if not np.all(np.isfinite(scores[mask > 0])):
         raise ContractError("rerank requires finite scores")
-    n, m = scores.shape
-    perms = np.empty((n, m), dtype=np.int64)
-    for i in range(n):
-        order = np.argsort(-scores[i], kind="stable")
-        real = [k for k in order if mask[i, k] > 0]
-        pads = [k for k in range(m) if mask[i, k] == 0]
-        perms[i] = real + pads
-    return perms
+    return np.argsort(np.where(mask > 0, -scores, np.inf), axis=1, kind="stable")

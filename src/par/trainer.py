@@ -22,7 +22,7 @@ from .config import TrainConfig, config_from_dict
 from .data_oracle import (Catalog, ClickOracle, PageRecord, atomic_write_text,
                           page_display_grids, pages_to_batch)
 from .embedding import PageBatch
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ConfigError, ContractError, DataError, NumericError
 from .metrics import MetricReport, compute_report
 from .model import ParModel
 from .scoring import rerank
@@ -129,27 +129,38 @@ def _snapshot(model: ParModel, config: TrainConfig, epoch: int,
 # -- training --------------------------------------------------------------------
 
 
-def _validate_dataset(config: TrainConfig, pages: list[PageRecord], catalog: Catalog) -> None:
+def validate_dataset(config: TrainConfig, pages: list[PageRecord], catalog: Catalog) -> None:
+    """Check every page against the config's layout and the catalog."""
     layout = config.build_layout()
     if catalog.vocab_size != config.vocab_size or catalog.themes != config.themes:
         raise ConfigError(f"catalog ({catalog.themes} themes x {catalog.items_per_theme}) "
                           f"does not match config ({config.themes} x {config.items_per_theme})")
     if not pages:
         raise ConfigError("empty page set")
-    for page in pages[:1]:
+    vocab = catalog.vocab_size
+    for k, page in enumerate(pages):
+        if page.history and not 0 <= min(page.history) <= max(page.history) < vocab:
+            raise DataError(f"page {k} history holds item ids outside 0..{vocab - 1}")
         if len(page.lists) != layout.n:
-            raise ConfigError(f"pages have {len(page.lists)} lists, config expects {layout.n}")
+            raise ConfigError(f"page {k} has {len(page.lists)} lists, config expects {layout.n}")
         for i, lst in enumerate(page.lists):
-            if len(lst.items) != layout.lengths[i]:
-                raise ConfigError(f"list {i} has {len(lst.items)} items, layout expects "
+            length = len(lst.items)
+            if length != layout.lengths[i]:
+                raise ConfigError(f"page {k} list {i} has {length} items, layout expects "
                                   f"{layout.lengths[i]}")
             if not lst.clicks:
-                raise ConfigError("pages carry no click labels; run labeling first")
+                raise ConfigError(f"page {k} carries no click labels; run labeling first")
+            if (len(lst.rel) != length or len(lst.clicks) != length
+                    or sorted(lst.init_order) != list(range(length))):
+                raise DataError(f"page {k} list {i}: rel, clicks and init_order must cover "
+                                f"its {length} items")
+            if not 1 <= min(lst.items) <= max(lst.items) < vocab:
+                raise DataError(f"page {k} list {i} holds item ids outside 1..{vocab - 1}")
 
 
 def train(config: TrainConfig, pages: list[PageRecord], catalog: Catalog) -> Checkpoint:
     """Fit the model on labeled pages; deterministic for a given seed."""
-    _validate_dataset(config, pages, catalog)
+    validate_dataset(config, pages, catalog)
     layout = config.build_layout()
     model = ParModel(config, layout, config.seed)
     data = pages_to_batch(pages, catalog, layout, config.t)
@@ -211,22 +222,21 @@ def evaluate(checkpoint: Checkpoint, pages: list[PageRecord], catalog: Catalog,
     eval_seed, so INIT and the model face identical click noise protocols.
     """
     config = checkpoint.config
-    _validate_dataset(config, pages, catalog)
+    validate_dataset(config, pages, catalog)
     if relevance_source not in ("labels", "clicks"):
         raise ConfigError(f"relevance_source must be labels|clicks, got {relevance_source}")
     seed = config.eval_seed if eval_seed is None else eval_seed
     layout = config.build_layout()
     oracle = ClickOracle(catalog, layout, config.eta1, config.eta2)
     model = checkpoint.build_model()
-    scores = _score_pages(model, pages_to_batch(pages, catalog, layout, config.t))
+    batch = pages_to_batch(pages, catalog, layout, config.t)
+    scores = _score_pages(model, batch)
 
     init_clicks, init_probs, init_rel = [], [], []
     new_clicks, new_probs, new_rel = [], [], []
     for p, page in enumerate(pages):
         items, rel, mask = page_display_grids(page, layout)
-        clicks_grid = np.zeros_like(rel)
-        for i, lst in enumerate(page.lists):
-            clicks_grid[i, :layout.lengths[i]] = lst.clicks
+        clicks_grid = batch.clicks[p]
 
         probs0 = oracle.click_prob(items, rel, mask)
         drawn0 = oracle.sample_clicks(probs0, _rng(seed, _CLICKS, 0, p))

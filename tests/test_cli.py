@@ -1,11 +1,17 @@
 """End-to-end command-line pipeline on a miniature dataset."""
 
+import contextlib
+import io
 import json
 import os
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from par.cli import main
 from par.config import load_config, parse_config_text
@@ -238,3 +244,77 @@ class TestErrorSurface:
         assert main([command, "--checkpoint", str(tmp_path / "none.ckpt"), "--data", str(data),
                      "--out", str(tmp_path / "out")]) == 1
         self._single_error_line(capsys, "ConfigError")
+
+
+def _copy_dataset(data: Path, dest: Path) -> Path:
+    """Copy of the dataset files at base path `data` under directory `dest`."""
+    for suffix in (".train.jsonl", ".test.jsonl", ".catalog.json"):
+        shutil.copy(data.with_name(data.name + suffix), dest / ("pages" + suffix))
+    return dest / "pages"
+
+
+def _run_stderr(command: str, checkpoint: Path, base: Path, out: Path) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--checkpoint", str(checkpoint), "--data", str(base),
+                     "--out", str(out)])
+    return code, err.getvalue()
+
+
+def _edit_last_test_page(base: Path, edit) -> int:
+    """Apply `edit` to the last page of the copied test JSONL; returns its line number."""
+    test = base.with_name("pages.test.jsonl")
+    lines = test.read_text().splitlines()
+    page = json.loads(lines[-1])
+    edit(page)
+    lines[-1] = json.dumps(page)
+    test.write_text("\n".join(lines) + "\n")
+    return len(lines)
+
+
+class TestMalformedPages:
+    def test_missing_history_on_last_page(self, workspace, checkpoint, tmp_path):
+        root, config, data = workspace
+        base = _copy_dataset(data, tmp_path)
+        line = _edit_last_test_page(base, lambda page: page.pop("history"))
+        code, err = _run_stderr("eval", checkpoint, base, tmp_path / "report")
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: DataError:"), err
+        assert f"page line {line}: missing key 'history'" in err
+
+    @pytest.mark.parametrize("command", ["eval", "rerank"])
+    def test_item_outside_catalog_on_last_page(self, workspace, checkpoint, tmp_path,
+                                               command):
+        root, config, data = workspace
+        base = _copy_dataset(data, tmp_path)
+
+        def foreign_item(page):
+            page["lists"][0]["items"][0] = 10_000
+
+        line = _edit_last_test_page(base, foreign_item)
+        code, err = _run_stderr(command, checkpoint, base, tmp_path / "out")
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: DataError:"), err
+        assert f"page {line - 1} list 0 holds item ids outside" in err
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.data())
+    def test_fuzzed_line_single_error(self, workspace, checkpoint, data):
+        root, config, base_path = workspace
+        lines = base_path.with_name(base_path.name + ".test.jsonl").read_text().splitlines()
+        k = data.draw(st.integers(0, len(lines) - 1), label="line")
+        page = json.loads(lines[k])
+        if data.draw(st.booleans(), label="delete a key"):
+            owners = [page] + page["lists"]
+            owner = data.draw(st.sampled_from(owners), label="record")
+            del owner[data.draw(st.sampled_from(sorted(owner)), label="key")]
+            lines[k] = json.dumps(page)
+        else:
+            lines[k] = lines[k][:data.draw(st.integers(1, len(lines[k]) - 1), label="cut")]
+        with tempfile.TemporaryDirectory() as tmp:
+            base = _copy_dataset(base_path, Path(tmp))
+            base.with_name("pages.test.jsonl").write_text("\n".join(lines) + "\n")
+            code, err = _run_stderr("eval", checkpoint, base, Path(tmp) / "report")
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: DataError:"), err
+        assert "Traceback" not in err

@@ -1,15 +1,19 @@
 """Synthetic page construction and the oracle click model."""
 
+import json
+
 import numpy as np
 import pytest
 
+from par.autograd import Tensor
 from par.config import TrainConfig
-from par.data_oracle import (Catalog, ClickOracle, build_dataset, generate_page,
-                             generate_pages, label_pages, load_catalog, load_pages,
-                             make_user, page_display_grids, pages_from_jsonl,
+from par.data_oracle import (Catalog, ClickOracle, InitialRanker, build_dataset,
+                             generate_page, generate_pages, label_pages, load_catalog,
+                             load_pages, make_user, page_display_grids, pages_from_jsonl,
                              pages_to_batch, pages_to_jsonl, write_catalog, write_pages)
 from par.errors import DataError
 from par.layout import stacked_preset
+from par.scoring import mlp
 
 
 def small_config(**overrides) -> TrainConfig:
@@ -86,14 +90,6 @@ class TestPageGeneration:
         assert pages_to_jsonl(train_a) == pages_to_jsonl(train_b)
         assert pages_to_jsonl(test_a) == pages_to_jsonl(test_b)
 
-    def test_worker_count_does_not_change_bytes(self, monkeypatch):
-        config = small_config()
-        monkeypatch.setenv("PAR_THREADS", "1")
-        _, train_a, _ = build_dataset(config)
-        monkeypatch.setenv("PAR_THREADS", "3")
-        _, train_b, _ = build_dataset(config)
-        assert pages_to_jsonl(train_a) == pages_to_jsonl(train_b)
-
     def test_history_drawn_from_user_themes(self):
         cat = Catalog.build(4, 12, 8, seed=6)
         user = make_user(cat, 7, user_themes=3, t=10, master_seed=6)
@@ -108,6 +104,20 @@ class TestInitialRanking:
         for page in train[:3]:
             for lst in page.lists:
                 assert sorted(lst.init_order) == list(range(config.m))
+
+    def test_scores_equal_training_forward(self):
+        rng = np.random.default_rng(13)
+        ranker = InitialRanker(6, 5, rng)
+        for p in ranker.params:
+            p.values = rng.uniform(-1, 1, p.shape)
+        feats = rng.uniform(-1, 1, (3, 7, 6))
+        rows = feats.reshape(21, 6)
+        trained = mlp(Tensor(rows), ranker.net).values[:, 0]
+        np.testing.assert_array_equal(ranker.scores(rows), trained)
+        # one batched call scores each row as it would alone
+        for row in range(3):
+            np.testing.assert_allclose(ranker.scores(feats)[row], ranker.scores(feats[row]),
+                                       rtol=0, atol=1e-12)
 
     def test_initial_ranking_beats_random_on_relevance(self):
         config = small_config(train_pages=80, test_pages=20, ranker_epochs=4)
@@ -214,6 +224,45 @@ class TestSerialization:
         cat = load_catalog(tmp_path / "catalog.json")
         assert pages_to_jsonl(pages) == pages_to_jsonl(train)
         np.testing.assert_array_equal(cat.true_emb, catalog.true_emb)
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda d: d.pop("history"), "missing key 'history'"),
+        (lambda d: d["lists"][1].pop("probs"), "missing key 'probs'"),
+        (lambda d: d.update(user="7"), "expected an integer"),
+        (lambda d: d["lists"][0].update(items=[1, "2"]), "expected a list of int"),
+        (lambda d: d.update(lists=5), "expected a list of dict"),
+    ])
+    def test_malformed_page_names_line(self, edit, reason):
+        config = small_config()
+        _, train, _ = build_dataset(config)
+        lines = pages_to_jsonl(train[:3]).splitlines()
+        data = json.loads(lines[2])
+        edit(data)
+        lines[2] = json.dumps(data)
+        with pytest.raises(DataError, match=f"page line 3: {reason}"):
+            pages_from_jsonl("\n".join(lines))
+
+    def test_undecodable_page_line_names_line(self):
+        config = small_config()
+        _, train, _ = build_dataset(config)
+        text = pages_to_jsonl(train[:2])
+        with pytest.raises(DataError, match="page line 2: not JSON"):
+            pages_from_jsonl(text[:-20])
+
+    def test_malformed_catalog_rejected(self, tmp_path):
+        catalog = Catalog.build(3, 5, 4, seed=2)
+        data = json.loads(catalog.to_json())
+        del data["quality"]
+        with pytest.raises(DataError, match="missing key 'quality'"):
+            Catalog.from_json(json.dumps(data))
+        data = json.loads(catalog.to_json())
+        data["themes"] = 4
+        with pytest.raises(DataError, match="do not fit"):
+            Catalog.from_json(json.dumps(data))
+        path = tmp_path / "catalog.json"
+        path.write_text(catalog.to_json()[:-9])
+        with pytest.raises(DataError, match="catalog.json: catalog line 1: not JSON"):
+            load_catalog(path)
 
     def test_batch_assembly(self):
         config = small_config()

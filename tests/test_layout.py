@@ -80,8 +80,7 @@ class TestDistanceMatrixProperties:
         base = stacked_preset(3, 2)
         perm = [2, 0, 1]
         coords = {(i, j): base.coords[(perm[i], j)] for i in range(3) for j in range(2)}
-        shuffled = PageLayout(n=3, m=2, lengths=(2, 2, 2), coords=coords,
-                              orientations=base.orientations, roles=base.roles)
+        shuffled = PageLayout(n=3, m=2, lengths=(2, 2, 2), coords=coords, roles=base.roles)
         d_base = manhattan_distance_matrix(base)
         d_shuf = manhattan_distance_matrix(shuffled)
         m = 2
@@ -102,4 +101,4 @@ class TestDistanceMatrixProperties:
     def test_duplicate_coordinate_rejected(self):
         with pytest.raises(ConfigError):
             PageLayout(n=1, m=2, lengths=(2,), coords={(0, 0): (0, 0), (0, 1): (0, 0)},
-                       orientations=("horizontal",), roles=("h1",))
+                       roles=("h1",))

@@ -8,34 +8,27 @@ import pytest
 from par import autograd as ag
 from par.autograd import Tensor, finite_diff_check
 from par.errors import ContractError
-from par.scoring import (DenseNetParams, MMoEParams, SingleMlpParams, bce_loss,
-                         dense_network, mmoe_score, rerank, single_mlp_score)
+from par.scoring import (MMoEParams, Mlp, bce_loss, dense_network, mlp, mmoe_score,
+                         rerank, single_mlp_score)
 
 
-def make_dense(rng, dims, zero=False):
+def make_dense(rng, dims, zero=False, stack=()):
     mk = (lambda s: np.zeros(s)) if zero else (lambda s: rng.uniform(-1, 1, s))
-    return DenseNetParams(
-        weights=[Tensor(mk((dims[i], dims[i + 1])), requires_grad=True)
+    return Mlp(
+        weights=[Tensor(mk(stack + (dims[i], dims[i + 1])), requires_grad=True)
                  for i in range(len(dims) - 1)],
-        biases=[Tensor(mk((dims[i + 1],)), requires_grad=True)
+        biases=[Tensor(mk(stack + (dims[i + 1],)), requires_grad=True)
                 for i in range(len(dims) - 1)],
     )
 
 
 def make_moe(rng, n, d_z, experts, e_dims, t_dims):
     e_dims = (d_z,) + tuple(e_dims)
-    t_dims = (e_dims[-1],) + tuple(t_dims) + (1,)
     return MMoEParams(
-        expert_weights=[Tensor(rng.uniform(-1, 1, (experts, e_dims[i], e_dims[i + 1])),
-                               requires_grad=True) for i in range(len(e_dims) - 1)],
-        expert_biases=[Tensor(rng.uniform(-1, 1, (experts, e_dims[i + 1])),
-                              requires_grad=True) for i in range(len(e_dims) - 1)],
+        experts=make_dense(rng, e_dims, stack=(experts,)),
         gate_w=Tensor(rng.uniform(-1, 1, (n, d_z, experts)), requires_grad=True),
         gate_b=Tensor(rng.uniform(-1, 1, (n, experts)), requires_grad=True),
-        tower_weights=[Tensor(rng.uniform(-1, 1, (n, t_dims[i], t_dims[i + 1])),
-                              requires_grad=True) for i in range(len(t_dims) - 1)],
-        tower_biases=[Tensor(rng.uniform(-1, 1, (n, t_dims[i + 1])),
-                             requires_grad=True) for i in range(len(t_dims) - 1)],
+        towers=make_dense(rng, (e_dims[-1],) + tuple(t_dims) + (1,), stack=(n,)),
     )
 
 
@@ -67,6 +60,25 @@ class TestDenseNetwork:
         names.update({f"b{i}": b for i, b in enumerate(params.biases)})
         report = finite_diff_check(model, names)
         assert report.passed, report.lines()
+
+    def test_stacked_equals_each_slice(self):
+        rng = np.random.default_rng(12)
+        k, dims = 3, (4, 5, 3, 2)
+        stacked = make_dense(rng, dims, stack=(k,))
+        x = rng.uniform(-1, 1, (2, k, 6, dims[0]))
+        out = mlp(Tensor(x), stacked).values
+        assert out.shape == (2, k, 6, dims[-1])
+        for j in range(k):
+            alone = Mlp(weights=[Tensor(w.values[j]) for w in stacked.weights],
+                        biases=[Tensor(b.values[j]) for b in stacked.biases])
+            np.testing.assert_allclose(out[:, j], mlp(Tensor(x[:, j]), alone).values,
+                                       rtol=0, atol=1e-12)
+
+    def test_relu_between_layers_not_after_last(self):
+        w = [Tensor(np.array([[1.0, -1.0]])), Tensor(np.array([[1.0], [1.0]]))]
+        b = [Tensor(np.zeros(2)), Tensor(np.array([-5.0]))]
+        out = mlp(Tensor(np.array([[2.0]])), Mlp(weights=w, biases=b)).values
+        np.testing.assert_array_equal(out, [[-3.0]])
 
 
 class TestMmoeScore:
@@ -127,10 +139,10 @@ class TestMmoeScore:
 
         names = {"page": page, "dense": dense, "infl": infl,
                  "gate_w": moe.gate_w, "gate_b": moe.gate_b}
-        names.update({f"e_w{i}": w for i, w in enumerate(moe.expert_weights)})
-        names.update({f"e_b{i}": b for i, b in enumerate(moe.expert_biases)})
-        names.update({f"t_w{i}": w for i, w in enumerate(moe.tower_weights)})
-        names.update({f"t_b{i}": b for i, b in enumerate(moe.tower_biases)})
+        names.update({f"e_w{i}": w for i, w in enumerate(moe.experts.weights)})
+        names.update({f"e_b{i}": b for i, b in enumerate(moe.experts.biases)})
+        names.update({f"t_w{i}": w for i, w in enumerate(moe.towers.weights)})
+        names.update({f"t_b{i}": b for i, b in enumerate(moe.towers.biases)})
         report = finite_diff_check(model, names)
         assert report.passed, report.lines()
 
@@ -138,13 +150,7 @@ class TestMmoeScore:
 class TestSingleMlpHead:
     def test_shapes_and_range(self):
         rng = np.random.default_rng(8)
-        dims = (8, 5, 3, 1)
-        params = SingleMlpParams(
-            weights=[Tensor(rng.uniform(-1, 1, (dims[i], dims[i + 1])), requires_grad=True)
-                     for i in range(len(dims) - 1)],
-            biases=[Tensor(rng.uniform(-1, 1, (dims[i + 1],)), requires_grad=True)
-                    for i in range(len(dims) - 1)],
-        )
+        params = make_dense(rng, (8, 5, 3, 1))
         y = single_mlp_score(Tensor(rng.uniform(-1, 1, (2, 3))),
                              Tensor(rng.uniform(-1, 1, (2, 2, 2, 2))),
                              Tensor(rng.uniform(-1, 1, (2, 2, 2, 3))), params)

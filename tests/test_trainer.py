@@ -1,5 +1,6 @@
 """Training loop determinism, checkpoint format, evaluation, gradcheck."""
 
+import copy
 import dataclasses
 import time
 
@@ -9,7 +10,7 @@ import pytest
 from par import trainer
 from par.config import TrainConfig, with_variant
 from par.data_oracle import build_dataset
-from par.errors import ConfigError, ContractError, NumericError
+from par.errors import ConfigError, ContractError, DataError, NumericError
 from par.trainer import Checkpoint, evaluate, gradcheck, tiny_gradcheck_config, train
 
 
@@ -81,6 +82,22 @@ class TestTrain:
         monkeypatch.setattr(trainer, "ParModel", NanModel)
         with pytest.raises(NumericError, match=r"epoch 1, step 1\b"):
             train(config, train_pages, catalog)
+
+    def test_every_page_validated(self, toy_dataset):
+        config, catalog, train_pages, _ = toy_dataset
+        pages = copy.deepcopy(train_pages)
+        last = pages[-1].lists[0]
+        last.items, last.rel, last.clicks = last.items[:-1], last.rel[:-1], last.clicks[:-1]
+        with pytest.raises(ConfigError, match=f"page {len(pages) - 1} list 0 has 3 items"):
+            train(config, pages, catalog)
+        pages = copy.deepcopy(train_pages)
+        pages[-1].lists[1].init_order[0] = pages[-1].lists[1].init_order[1]
+        with pytest.raises(DataError, match=f"page {len(pages) - 1} list 1"):
+            train(config, pages, catalog)
+        pages = copy.deepcopy(train_pages)
+        pages[-1].history[0] = config.vocab_size
+        with pytest.raises(DataError, match="history holds item ids"):
+            train(config, pages, catalog)
 
     def test_catalog_mismatch_rejected(self, toy_dataset):
         config, catalog, train_pages, _ = toy_dataset
