@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .config import VARIANTS, TrainConfig, load_config, with_variant
-from .data_oracle import (atomic_write_text, load_catalog, load_pages, pages_to_batch,
+from .data_oracle import (atomic_write, load_catalog, load_pages, pages_to_batch,
                           write_catalog, write_pages)
 from .errors import ConfigError, ParError
 from .metrics import ReportTable, report_timestamp
@@ -86,17 +86,15 @@ def cmd_rerank(args) -> int:
     validate_dataset(config, pages, catalog)
     layout = config.build_layout()
     batch = pages_to_batch(pages, catalog, layout, config.t)
-    scores = _score_pages(checkpoint.build_model(), batch)
+    perms = rerank(_score_pages(checkpoint.build_model(), batch), batch.mask).tolist()
 
     lines = []
-    for p, page in enumerate(pages):
-        perms = rerank(scores[p], batch.mask[p])
+    for page, page_perms in zip(pages, perms):
         lines.append(json.dumps({
             "user": page.user_id,
-            "permutations": [[int(k) for k in perms[i, :layout.lengths[i]]]
-                             for i in range(layout.n)],
+            "permutations": [page_perms[i][:length] for i, length in enumerate(layout.lengths)],
         }, sort_keys=True))
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"reranked {len(pages)} pages; permutations at {args.out}")
     return 0
 
@@ -165,8 +163,8 @@ def cmd_ablate(args) -> int:
 
 
 def _write_table(table: ReportTable, out_base: str) -> None:
-    atomic_write_text(out_base + ".csv", table.to_csv())
-    atomic_write_text(out_base + ".json", table.to_json())
+    atomic_write(out_base + ".csv", table.to_csv())
+    atomic_write(out_base + ".json", table.to_json())
 
 
 def build_parser() -> argparse.ArgumentParser:

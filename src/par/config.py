@@ -195,7 +195,11 @@ def parse_config_text(text: str) -> TrainConfig:
 
 
 def load_config(path: str | Path) -> TrainConfig:
-    return parse_config_text(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
+    return parse_config_text(text)
 
 
 def config_from_dict(data: dict) -> TrainConfig:

@@ -26,17 +26,27 @@ from . import autograd as ag
 from .autograd import AdamState, Tensor, adam_step
 from .config import TrainConfig
 from .embedding import PageBatch
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .layout import PageLayout, manhattan_distance_matrix
 from .scoring import Mlp, glorot, mlp
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partials."""
+def atomic_write(path: str | Path, data: str | bytes) -> None:
+    """Write via a sibling temp file and rename, so readers never see partials.
+
+    An unwritable path raises ConfigError naming it.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        if isinstance(data, str):
+            tmp.write_text(data)
+        else:
+            tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 # -- catalog and users --------------------------------------------------------
@@ -152,12 +162,14 @@ def make_user(catalog: Catalog, user_id: int, user_themes: int, t: int,
                         size=min(user_themes, catalog.themes), replace=False)
     # history draws lean on the user's top preferences within random themes
     top_k = 5
+    tops = []
+    for theme in themes:
+        pool = catalog.theme_pool(int(theme))
+        tops.append(pool[np.argsort(-catalog.appeal(latent, pool), kind="stable")[:top_k]])
     history = np.empty(t, dtype=np.int64)
     for s in range(t):
-        pool = catalog.theme_pool(int(rng.choice(themes)))
-        appeal = catalog.appeal(latent, pool)
-        top = pool[np.argsort(-appeal, kind="stable")[:top_k]]
-        history[s] = rng.choice(top)
+        top = tops[rng.integers(len(tops))]
+        history[s] = top[rng.integers(len(top))]
     return UserProfile(user_id, latent, themes, history)
 
 
@@ -172,9 +184,6 @@ class ListRecord:
     init_order: list[int]     # display position k shows items[init_order[k]]
     clicks: list[int] = field(default_factory=list)   # per display position
     probs: list[float] = field(default_factory=list)  # per display position
-
-    def displayed_items(self) -> list[int]:
-        return [self.items[k] for k in self.init_order]
 
     def displayed_rel(self) -> list[int]:
         return [self.rel[k] for k in self.init_order]
@@ -300,8 +309,8 @@ def train_initial_rankers(pages: list[PageRecord], users: dict[int, UserProfile]
     for i in range(len(pages[0].lists) if pages else 0):
         rng = np.random.default_rng(np.random.SeedSequence([master_seed, 0x4A4E, i]))
         feats = _ranker_features(pages, i, users, catalog).reshape(-1, 2 * d)
-        targets = np.array([f[:d] @ f[d:] + config.label_noise * rng.standard_normal()
-                            for f in feats])
+        affinity = (feats[:, None, :d] @ feats[:, d:, None])[:, 0, 0]
+        targets = affinity + config.label_noise * rng.standard_normal(len(feats))
         ranker = InitialRanker(2 * d, config.ranker_hidden, rng)
         ranker.train(feats, targets, config.ranker_epochs, config.ranker_lr, rng)
         rankers.append(ranker)
@@ -338,6 +347,8 @@ class ClickOracle:
     Dissimilarity is measured against the items at Manhattan distance 1.
     """
 
+    PAGE_CHUNK = 256  # pages per gather in click_prob
+
     def __init__(self, catalog: Catalog, layout: PageLayout,
                  eta1: float = 0.4, eta2: float = 0.5):
         self.catalog = catalog
@@ -345,13 +356,15 @@ class ClickOracle:
         self.eta1 = eta1
         self.eta2 = eta2
         n, m = layout.n, layout.m
-        distances = manhattan_distance_matrix(layout)
-        real = np.zeros(n * m, dtype=bool)
-        for i in range(n):
-            real[i * m:i * m + layout.lengths[i]] = True
-        within = distances == 1
-        self._neighbors = [np.where(within[p] & real)[0] if real[p] else
-                           np.empty(0, dtype=np.int64) for p in range(n * m)]
+        real = slot_mask(layout, 1).reshape(n * m) > 0
+        adjacent = (manhattan_distance_matrix(layout) == 1) & real[:, None] & real[None, :]
+        # slot p's k-th neighbour (in slot order) is _nbr_slot[p, k]; padding
+        # entries point one past the last slot, where click_prob places a zero
+        # embedding
+        self._nbr_count = adjacent.sum(axis=1)
+        width = max(1, int(self._nbr_count.max()))
+        ordered = np.argsort(~adjacent, axis=1, kind="stable")[:, :width]
+        self._nbr_slot = np.where(np.arange(width) < self._nbr_count[:, None], ordered, n * m)
         pos = np.arange(1, m + 1, dtype=np.float64)
         lst = np.arange(1, n + 1, dtype=np.float64)
         self._decay = (pos[None, :] ** -eta1) * (lst[:, None] ** -eta2)
@@ -362,59 +375,95 @@ class ClickOracle:
 
     def click_prob(self, items: np.ndarray, rel: np.ndarray,
                    mask: np.ndarray) -> np.ndarray:
-        """Oracle probabilities for a displayed (n, m) item grid."""
+        """Oracle probabilities for displayed (..., n, m) item grids.
+
+        Any leading axes are pages, scored PAGE_CHUNK pages at a time so the
+        gathered embeddings stay bounded. The neighbour mean adds the
+        neighbours in slot order and the dot products are batched
+        (1, d) @ (d, 1) products, so each page gets the same bits as when it
+        is scored alone.
+        """
         n, m = self.layout.n, self.layout.m
-        emb = self.catalog.true_emb
-        flat_items = items.reshape(-1)
-        dissim = np.ones(n * m)
-        for p in range(n * m):
-            if mask.reshape(-1)[p] == 0:
-                continue
-            nbrs = self._neighbors[p]
-            if nbrs.size == 0:
-                continue  # isolated slot: neutral dissimilarity
-            mean = emb[flat_items[nbrs]].mean(axis=0)
-            norm = np.linalg.norm(mean)
-            if norm < 1e-12:
-                continue
-            own = emb[flat_items[p]]
-            cos = float(own @ mean) / (norm * max(np.linalg.norm(own), 1e-12))
-            dissim[p] = min(max(1.0 - cos, 0.0), 1.0)
-        probs = rel * self._decay * dissim.reshape(n, m)
+        pages = items.reshape(-1, n * m)
+        dissim = np.empty(pages.shape)
+        for start in range(0, len(pages), self.PAGE_CHUNK):
+            chunk = slice(start, start + self.PAGE_CHUNK)
+            dissim[chunk] = self._dissimilarity(pages[chunk])
+        probs = rel * self._decay * dissim.reshape(items.shape)
         return np.clip(probs * mask, 0.0, 1.0)
+
+    def _dissimilarity(self, items: np.ndarray) -> np.ndarray:
+        """(P, n*m) displayed items -> (P, n*m) dissimilarity to the neighbour mean."""
+        nm = items.shape[1]
+        # (P, n*m + 1, d) displayed embeddings plus a zero row for padding
+        emb = np.zeros((len(items), nm + 1, self.catalog.true_dim))
+        emb[:, :-1, :] = self.catalog.true_emb[items]
+        own = emb[:, :-1, :]
+        total = emb[:, self._nbr_slot[:, 0], :]
+        for k in range(1, self._nbr_slot.shape[1]):
+            total += emb[:, self._nbr_slot[:, k], :]
+        mean = total / np.maximum(self._nbr_count, 1)[:, None]
+
+        def dot(a, b):
+            return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+        norm = np.sqrt(dot(mean, mean))
+        own_norm = np.maximum(np.sqrt(dot(own, own)), 1e-12)
+        # isolated slots (only padding gathered) and zero-mean neighbourhoods
+        # keep a neutral dissimilarity; masked slots are zeroed by click_prob
+        scored = norm >= 1e-12
+        cos = dot(own, mean) / np.where(scored, norm * own_norm, 1.0)
+        return np.where(scored, np.clip(1.0 - cos, 0.0, 1.0), 1.0)
 
     def sample_clicks(self, probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Independent Bernoulli draws per slot."""
-        return (rng.uniform(size=probs.shape) < probs).astype(np.int64)
+        return (rng.random(probs.shape) < probs).astype(np.int64)
 
 
 def label_pages(pages: list[PageRecord], oracle: ClickOracle, master_seed: int) -> None:
-    """Fill oracle probabilities and sampled clicks for the displayed order."""
+    """Fill oracle probabilities and sampled clicks for the displayed order.
+
+    One oracle call scores every page; each page draws its clicks from its own
+    (master_seed, page index) stream.
+    """
     layout = oracle.layout
-    for idx, page in enumerate(pages):
+    probs = oracle.click_prob(*page_grids(pages, layout))
+    for idx, (page, page_probs) in enumerate(zip(pages, probs)):
         rng = np.random.default_rng(np.random.SeedSequence([master_seed, 0xC11C, idx]))
-        items, rel, mask = page_display_grids(page, layout)
-        probs = oracle.click_prob(items, rel, mask)
-        clicks = oracle.sample_clicks(probs, rng)
+        prob_rows = page_probs.tolist()
+        click_rows = oracle.sample_clicks(page_probs, rng).tolist()
         for i, lst in enumerate(page.lists):
             length = layout.lengths[i]
-            lst.probs = [float(x) for x in probs[i, :length]]
-            lst.clicks = [int(x) for x in clicks[i, :length]]
+            lst.probs = prob_rows[i][:length]
+            lst.clicks = click_rows[i][:length]
 
 
-def page_display_grids(page: PageRecord, layout: PageLayout
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(items, rel, mask) grids of the page as currently displayed."""
-    n, m = layout.n, layout.m
-    items = np.zeros((n, m), dtype=np.int64)
-    rel = np.zeros((n, m), dtype=np.float64)
-    mask = np.zeros((n, m), dtype=np.float64)
-    for i, lst in enumerate(page.lists):
-        length = layout.lengths[i]
-        items[i, :length] = lst.displayed_items()
-        rel[i, :length] = lst.displayed_rel()
-        mask[i, :length] = 1.0
-    return items, rel, mask
+def page_grids(pages: list[PageRecord], layout: PageLayout
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(items, rel, mask) grids of the pages as currently displayed: (P, n, m) each."""
+    return (displayed_grid(pages, layout, "items"), displayed_grid(pages, layout, "rel"),
+            slot_mask(layout, len(pages)))
+
+
+def displayed_grid(pages: list[PageRecord], layout: PageLayout, field: str) -> np.ndarray:
+    """(P, n, m) grid of a list's per-item `field` ("items" or "rel") in displayed
+    order; padding slots hold 0."""
+    count = len(pages)
+    grid = np.zeros((count, layout.n, layout.m),
+                    dtype=np.int64 if field == "items" else np.float64)
+    for i, length in enumerate(layout.lengths):
+        order = np.array([page.lists[i].init_order for page in pages],
+                         dtype=np.int64).reshape(count, length)
+        generated = np.array([getattr(page.lists[i], field) for page in pages],
+                             dtype=grid.dtype).reshape(count, length)
+        grid[:, i, :length] = np.take_along_axis(generated, order, axis=1)
+    return grid
+
+
+def slot_mask(layout: PageLayout, count: int) -> np.ndarray:
+    """(count, n, m) float mask: 1 on real slots, 0 on padding."""
+    real = np.arange(layout.m) < np.array(layout.lengths)[:, None]
+    return np.broadcast_to(real, (count, layout.n, layout.m)).astype(np.float64)
 
 
 # -- serialization -------------------------------------------------------------
@@ -481,7 +530,7 @@ def pages_from_jsonl(text: str) -> list[PageRecord]:
 
 
 def write_pages(pages: list[PageRecord], path: str | Path) -> None:
-    atomic_write_text(path, pages_to_jsonl(pages))
+    atomic_write(path, pages_to_jsonl(pages))
 
 
 def _load(path: str | Path, parse):
@@ -496,7 +545,7 @@ def load_pages(path: str | Path) -> list[PageRecord]:
 
 
 def write_catalog(catalog: Catalog, path: str | Path) -> None:
-    atomic_write_text(path, catalog.to_json())
+    atomic_write(path, catalog.to_json())
 
 
 def load_catalog(path: str | Path) -> Catalog:
@@ -533,18 +582,15 @@ def build_dataset(config: TrainConfig) -> tuple[Catalog, list[PageRecord], list[
 def pages_to_batch(pages: list[PageRecord], catalog: Catalog, layout: PageLayout,
                    t: int) -> PageBatch:
     """Assemble displayed pages into padded model inputs."""
-    b, n, m = len(pages), layout.n, layout.m
-    items = np.zeros((b, n, m), dtype=np.int64)
-    clicks = np.zeros((b, n, m), dtype=np.float64)
-    mask = np.zeros((b, n, m), dtype=np.float64)
+    b = len(pages)
+    items, mask = displayed_grid(pages, layout, "items"), slot_mask(layout, b)
+    clicks = np.zeros_like(mask)
+    for i, length in enumerate(layout.lengths):
+        clicks[:, i, :length] = np.array([page.lists[i].clicks for page in pages],
+                                         dtype=np.float64).reshape(b, length)
     history = np.zeros((b, t), dtype=np.int64)
     hmask = np.zeros((b, t), dtype=np.float64)
     for k, page in enumerate(pages):
-        for i, lst in enumerate(page.lists):
-            length = layout.lengths[i]
-            items[k, i, :length] = lst.displayed_items()
-            clicks[k, i, :length] = lst.clicks
-            mask[k, i, :length] = 1.0
         hist = page.history[:t]
         history[k, :len(hist)] = hist
         hmask[k, :len(hist)] = 1.0

@@ -18,16 +18,26 @@ from .errors import DataError
 INIT_SCALE = 0.05
 
 
-class EmbeddingTable:
-    """Trainable lookup table with a pinned all-zero padding row."""
+def embedding_rows(rng: np.random.Generator, vocab_size: int, dim: int) -> np.ndarray:
+    """Initial (vocab_size - 1, dim) rows of a table: ids 1..vocab_size-1."""
+    if vocab_size < 2:
+        raise DataError(f"vocab_size must be >= 2 (padding + 1 id), got {vocab_size}")
+    return rng.uniform(-INIT_SCALE, INIT_SCALE, size=(vocab_size - 1, dim))
 
-    def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator):
-        if vocab_size < 2:
-            raise DataError(f"vocab_size must be >= 2 (padding + 1 id), got {vocab_size}")
-        self.vocab_size = vocab_size
+
+class EmbeddingTable:
+    """Trainable lookup table with a pinned all-zero padding row.
+
+    `weights` holds the rows of ids 1..vocab_size-1: (vocab_size - 1, dim).
+    """
+
+    def __init__(self, weights: Tensor):
+        rows, dim = weights.shape
+        if rows < 1:
+            raise DataError(f"vocab_size must be >= 2 (padding + 1 id), got {rows + 1}")
+        self.vocab_size = rows + 1
         self.dim = dim
-        self.weights = Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, size=(vocab_size - 1, dim)),
-                              requires_grad=True)
+        self.weights = weights
         self._zero_row = Tensor(np.zeros((1, dim)))
 
     def lookup(self, ids: np.ndarray) -> Tensor:

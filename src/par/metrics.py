@@ -19,46 +19,54 @@ import numpy as np
 from .errors import DataError
 
 
-def utility(clicks_per_page: list[np.ndarray]) -> float:
-    """Mean over pages of the total click count."""
-    if not clicks_per_page:
+def utility(clicks: np.ndarray) -> float:
+    """Mean over pages of the total click count; clicks is (P, n, m)."""
+    clicks = np.asarray(clicks)
+    if len(clicks) == 0:
         return 0.0
-    return float(np.mean([np.sum(c) for c in clicks_per_page]))
+    return float(clicks.reshape(len(clicks), -1).sum(axis=1).mean())
 
 
-def sctr(probs_per_page: list[np.ndarray], lists: list[int] | None = None) -> float:
-    """Mean over pages of summed click probabilities, optionally per list."""
-    if not probs_per_page:
+def sctr(probs: np.ndarray, lists: list[int] | None = None) -> float:
+    """Mean over pages of summed click probabilities, optionally per list.
+
+    probs is (P, n, m); `lists` picks the rows summed on each page.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    if len(probs) == 0:
         return 0.0
-    totals = []
-    for probs in probs_per_page:
-        if lists is None:
-            totals.append(probs.sum())
-        else:
-            totals.append(probs[lists, :].sum())
-    return float(np.mean(totals))
+    shown = probs if lists is None else probs[:, lists, :]
+    return float(shown.reshape(len(shown), -1).sum(axis=1).mean())
 
 
-def ndcg(relevance: list[int] | np.ndarray) -> float:
-    """Binary-gain nDCG with log2(rank+1) discount; 0 when nothing is relevant."""
+def _per_row(values: np.ndarray) -> np.ndarray | float:
+    return values if values.ndim else float(values)
+
+
+def ndcg(relevance) -> np.ndarray | float:
+    """Binary-gain nDCG over the last axis with log2(rank+1) discount.
+
+    0 where nothing is relevant; a float for one ranking, an array otherwise.
+    """
     rel = np.asarray(relevance, dtype=np.float64)
-    if rel.size == 0 or rel.sum() == 0:
-        return 0.0
-    ranks = np.arange(1, rel.size + 1)
-    dcg = float((rel / np.log2(ranks + 1)).sum())
-    ideal = np.sort(rel)[::-1]
-    idcg = float((ideal / np.log2(ranks + 1)).sum())
-    return dcg / idcg
+    discount = np.log2(np.arange(1, rel.shape[-1] + 1) + 1)
+    dcg = (rel / discount).sum(axis=-1)
+    idcg = (np.flip(np.sort(rel, axis=-1), axis=-1) / discount).sum(axis=-1)
+    found = rel.sum(axis=-1) > 0
+    return _per_row(np.where(found, dcg / np.where(found, idcg, 1.0), 0.0))
 
 
-def average_precision(relevance: list[int] | np.ndarray) -> float:
-    """Mean precision@k over the relevant ranks; 0 when nothing is relevant."""
+def average_precision(relevance) -> np.ndarray | float:
+    """Mean precision@k over the relevant ranks of the last axis.
+
+    0 where nothing is relevant; a float for one ranking, an array otherwise.
+    """
     rel = np.asarray(relevance, dtype=np.float64)
-    if rel.size == 0 or rel.sum() == 0:
-        return 0.0
-    hits = np.cumsum(rel)
-    ranks = np.arange(1, rel.size + 1)
-    return float((rel * hits / ranks).sum() / rel.sum())
+    ranks = np.arange(1, rel.shape[-1] + 1)
+    total = rel.sum(axis=-1)
+    found = total > 0
+    precision = (rel * np.cumsum(rel, axis=-1) / ranks).sum(axis=-1)
+    return _per_row(np.where(found, precision / np.where(found, total, 1.0), 0.0))
 
 
 @dataclass
@@ -82,26 +90,23 @@ class MetricReport:
         return out
 
 
-def compute_report(clicks: list[np.ndarray], probs: list[np.ndarray],
-                   relevance: list[list[list[int]]], roles: tuple[str, ...],
-                   seed: int) -> MetricReport:
-    """Aggregate page-level arrays into one report.
+def compute_report(clicks: np.ndarray, probs: np.ndarray, relevance: np.ndarray,
+                   mask: np.ndarray, roles: tuple[str, ...], seed: int) -> MetricReport:
+    """Aggregate (P, n, m) page arrays into one report.
 
-    clicks/probs: per page (n, m) arrays; relevance: per page, per list, the
-    binary labels in display order (real slots only).
+    relevance holds binary labels in display order; nDCG and MAP rank each
+    list's real (mask > 0) slots in order and average over every page's lists.
     """
-    per_list = {role: sctr(probs, lists=[i]) for i, role in enumerate(roles)}
-    ndcg_vals, ap_vals = [], []
-    for page_rel in relevance:
-        for rel in page_rel:
-            ndcg_vals.append(ndcg(rel))
-            ap_vals.append(average_precision(rel))
+    real = np.asarray(mask) > 0
+    # move padding behind the real slots, keeping their order
+    order = np.argsort(~real, axis=-1, kind="stable")
+    rel = np.take_along_axis(np.where(real, relevance, 0.0), order, axis=-1)
     return MetricReport(
         utility=utility(clicks),
         sctr=sctr(probs),
-        sctr_per_list=per_list,
-        ndcg=float(np.mean(ndcg_vals)) if ndcg_vals else 0.0,
-        map=float(np.mean(ap_vals)) if ap_vals else 0.0,
+        sctr_per_list={role: sctr(probs, lists=[i]) for i, role in enumerate(roles)},
+        ndcg=float(np.mean(ndcg(rel))) if rel.size else 0.0,
+        map=float(np.mean(average_precision(rel))) if rel.size else 0.0,
         seed=seed,
     )
 

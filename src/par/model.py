@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import math
 import zlib
+from collections.abc import Callable, Mapping
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
 from .config import TrainConfig
-from .embedding import EmbeddingTable, PageBatch, embed_history, embed_page
-from .errors import ConfigError
+from .embedding import (EmbeddingTable, PageBatch, embed_history, embed_page,
+                        embedding_rows)
+from .errors import ConfigError, ContractError
 from .hds_attn import (AggregationParams, DualSideParams, candidate_self_attention,
                        dual_side_attention, item_level_aggregation,
                        list_level_aggregation, list_level_self_attention)
@@ -36,10 +38,13 @@ class ParModel:
 
     Each parameter is initialized from a stream derived from (seed, name), so
     parameters shared between ablation variants start from identical values
-    and variant comparisons are paired.
+    and variant comparisons are paired. With `stored` (name -> array, e.g. a
+    checkpoint's tensors) every parameter takes a copy of its stored value
+    instead and no initial value is drawn.
     """
 
-    def __init__(self, config: TrainConfig, layout: PageLayout, seed: int):
+    def __init__(self, config: TrainConfig, layout: PageLayout, seed: int,
+                 stored: Mapping[str, np.ndarray] | None = None):
         if layout.n != config.n or layout.m != config.m:
             raise ConfigError(f"layout ({layout.n}x{layout.m}) does not match "
                               f"config ({config.n}x{config.m})")
@@ -48,23 +53,17 @@ class ParModel:
         self.seed = int(seed)
         self.distances = manhattan_distance_matrix(layout)
         self._params: dict[str, Tensor] = {}
+        self._stored = stored
         c = config
 
-        self.item_table = EmbeddingTable(c.vocab_size, c.d_x, self._stream("emb.item"))
-        self.category_table = EmbeddingTable(c.n_categories, c.d_x,
-                                             self._stream("emb.category"))
-        self._register("emb.item", self.item_table.weights)
-        self._register("emb.category", self.category_table.weights)
+        self.item_table = self._table("emb.item", c.vocab_size, c.d_x)
+        self.category_table = self._table("emb.category", c.n_categories, c.d_x)
         if c.d_h == c.d_x:
             self.hist_item_table = self.item_table
             self.hist_category_table = self.category_table
         else:
-            self.hist_item_table = EmbeddingTable(c.vocab_size, c.d_h,
-                                                  self._stream("emb.item_hist"))
-            self.hist_category_table = EmbeddingTable(c.n_categories, c.d_h,
-                                                      self._stream("emb.category_hist"))
-            self._register("emb.item_hist", self.hist_item_table.weights)
-            self._register("emb.category_hist", self.hist_category_table.weights)
+            self.hist_item_table = self._table("emb.item_hist", c.vocab_size, c.d_h)
+            self.hist_category_table = self._table("emb.category_hist", c.n_categories, c.d_h)
 
         self.dual: DualSideParams | None = None
         self.agg: AggregationParams | None = None
@@ -114,6 +113,9 @@ class ParModel:
             )
         else:
             self.head = self._mlp("head.w", "head.b", (d_z,) + c.expert_hidden + (1,))
+        if stored is not None and set(stored) != set(self._params):
+            raise ContractError("stored tensors do not match the model's parameters")
+        self._stored = None  # keep no reference to the caller's arrays
 
     # -- parameter bookkeeping ------------------------------------------
 
@@ -127,17 +129,33 @@ class ParModel:
         self._params[name] = tensor
         return tensor
 
-    def _new(self, name: str, values: np.ndarray) -> Tensor:
+    def _new(self, name: str, shape: tuple[int, ...],
+             draw: Callable[[np.random.Generator], np.ndarray] | None) -> Tensor:
+        """The parameter `name`: its stored value, else drawn (zeros if no `draw`)."""
+        if self._stored is None:
+            values = np.zeros(shape) if draw is None else draw(self._stream(name))
+        else:
+            if name not in self._stored:
+                raise ContractError("stored tensors do not match the model's parameters")
+            values = self._stored[name]
+            if values.shape != shape:
+                raise ContractError(f"stored tensor '{name}' has shape {values.shape}, "
+                                    f"model expects {shape}")
+            values = values.copy()
         return self._register(name, Tensor(values, requires_grad=True))
 
     def _glorot(self, name: str, shape: tuple[int, ...]) -> Tensor:
-        return self._new(name, glorot(self._stream(name), shape))
+        return self._new(name, shape, lambda rng: glorot(rng, shape))
 
     def _zeros(self, name: str, shape: tuple[int, ...]) -> Tensor:
-        return self._new(name, np.zeros(shape))
+        return self._new(name, shape, None)
 
     def _query(self, name: str, dim: int) -> Tensor:
-        return self._new(name, _vector(self._stream(name), dim))
+        return self._new(name, (dim, 1), lambda rng: _vector(rng, dim))
+
+    def _table(self, name: str, vocab_size: int, dim: int) -> EmbeddingTable:
+        return EmbeddingTable(self._new(name, (vocab_size - 1, dim),
+                                        lambda rng: embedding_rows(rng, vocab_size, dim)))
 
     def _mlp(self, w_name: str, b_name: str, dims: tuple[int, ...],
              stack: tuple[int, ...] = ()) -> Mlp:

@@ -123,8 +123,9 @@ def rerank(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Per-list display permutation: unmasked slots by score descending.
 
     Ties keep the incoming (initial-ranker) order; padding slots stay at the
-    tail. Returns an (n, m) integer array of slot indices per list.
+    tail. Takes (..., n, m) scores and mask (any leading axes are pages) and
+    returns integer slot indices of the same shape, sorted within each list.
     """
     if not np.all(np.isfinite(scores[mask > 0])):
         raise ContractError("rerank requires finite scores")
-    return np.argsort(np.where(mask > 0, -scores, np.inf), axis=1, kind="stable")
+    return np.argsort(np.where(mask > 0, -scores, np.inf), axis=-1, kind="stable")

@@ -19,8 +19,8 @@ import numpy as np
 from . import autograd as ag
 from .autograd import AdamState, GradCheckReport, adam_step, finite_diff_check
 from .config import TrainConfig, config_from_dict
-from .data_oracle import (Catalog, ClickOracle, PageRecord, atomic_write_text,
-                          page_display_grids, pages_to_batch)
+from .data_oracle import (Catalog, ClickOracle, PageRecord, atomic_write, displayed_grid,
+                          pages_to_batch)
 from .embedding import PageBatch
 from .errors import ConfigError, ContractError, DataError, NumericError
 from .metrics import MetricReport, compute_report
@@ -94,10 +94,7 @@ class Checkpoint:
         return checkpoint
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(self.to_bytes())
-        tmp.replace(path)
+        atomic_write(path, self.to_bytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
@@ -108,16 +105,7 @@ class Checkpoint:
         return cls.from_bytes(blob)
 
     def build_model(self) -> ParModel:
-        model = ParModel(self.config, self.config.build_layout(), self.config.seed)
-        if set(model.param_names()) != set(self.tensors):
-            raise ContractError("checkpoint tensors do not match the model's parameters")
-        for name, tensor in model.params.items():
-            stored = self.tensors[name]
-            if stored.shape != tensor.shape:
-                raise ContractError(f"checkpoint tensor '{name}' has shape {stored.shape}, "
-                                    f"model expects {tensor.shape}")
-            tensor.values = stored.copy()
-        return model
+        return ParModel(self.config, self.config.build_layout(), self.config.seed, self.tensors)
 
 
 def _snapshot(model: ParModel, config: TrainConfig, epoch: int,
@@ -202,24 +190,15 @@ def _score_pages(model: ParModel, batch: PageBatch, chunk: int = 128) -> np.ndar
     return np.concatenate(scores, axis=0)
 
 
-def _relevance_rows(rel_grid: np.ndarray, clicks_grid: np.ndarray, mask: np.ndarray,
-                    source: str) -> list[list[int]]:
-    grid = rel_grid if source == "labels" else clicks_grid
-    rows = []
-    for i in range(grid.shape[0]):
-        real = mask[i] > 0
-        rows.append([int(x) for x in grid[i][real]])
-    return rows
-
-
 def evaluate(checkpoint: Checkpoint, pages: list[PageRecord], catalog: Catalog,
              eval_seed: int | None = None, relevance_source: str = "labels"
              ) -> dict[str, MetricReport]:
     """Score, rerank, re-query the oracle, and compute metrics.
 
     Returns one report for the untouched initial order (INIT) and one for the
-    checkpoint's variant. Clicks are resampled with streams derived from
-    eval_seed, so INIT and the model face identical click noise protocols.
+    checkpoint's variant. Each arrangement is one oracle call over all pages;
+    clicks are resampled per page with streams derived from eval_seed, so INIT
+    and the model face identical click noise protocols.
     """
     config = checkpoint.config
     validate_dataset(config, pages, catalog)
@@ -230,35 +209,24 @@ def evaluate(checkpoint: Checkpoint, pages: list[PageRecord], catalog: Catalog,
     oracle = ClickOracle(catalog, layout, config.eta1, config.eta2)
     model = checkpoint.build_model()
     batch = pages_to_batch(pages, catalog, layout, config.t)
-    scores = _score_pages(model, batch)
+    items, mask, rel = batch.items, batch.mask, displayed_grid(pages, layout, "rel")
+    perms = rerank(_score_pages(model, batch), mask)
 
-    init_clicks, init_probs, init_rel = [], [], []
-    new_clicks, new_probs, new_rel = [], [], []
-    for p, page in enumerate(pages):
-        items, rel, mask = page_display_grids(page, layout)
-        clicks_grid = batch.clicks[p]
+    relevance = rel if relevance_source == "labels" else batch.clicks
 
-        probs0 = oracle.click_prob(items, rel, mask)
-        drawn0 = oracle.sample_clicks(probs0, _rng(seed, _CLICKS, 0, p))
-        init_probs.append(probs0)
-        init_clicks.append(drawn0)
-        init_rel.append(_relevance_rows(rel, clicks_grid, mask, relevance_source))
+    def report(arm: int, shown_items: np.ndarray, shown_rel: np.ndarray,
+               shown_relevance: np.ndarray) -> MetricReport:
+        probs = oracle.click_prob(shown_items, shown_rel, mask)
+        drawn = np.stack([oracle.sample_clicks(page_probs, _rng(seed, _CLICKS, arm, p))
+                          for p, page_probs in enumerate(probs)])
+        return compute_report(drawn, probs, shown_relevance, mask, layout.roles, config.seed)
 
-        perms = rerank(scores[p], mask)
-        items2 = np.take_along_axis(items, perms, axis=1)
-        rel2 = np.take_along_axis(rel, perms, axis=1)
-        clicks2 = np.take_along_axis(clicks_grid, perms, axis=1)
-        probs1 = oracle.click_prob(items2, rel2, mask)
-        drawn1 = oracle.sample_clicks(probs1, _rng(seed, _CLICKS, 1, p))
-        new_probs.append(probs1)
-        new_clicks.append(drawn1)
-        new_rel.append(_relevance_rows(rel2, clicks2, mask, relevance_source))
+    def reranked(grid: np.ndarray) -> np.ndarray:
+        return np.take_along_axis(grid, perms, axis=-1)
 
-    roles = layout.roles
     return {
-        "INIT": compute_report(init_clicks, init_probs, init_rel, roles, config.seed),
-        config.variant_name(): compute_report(new_clicks, new_probs, new_rel, roles,
-                                              config.seed),
+        "INIT": report(0, items, rel, relevance),
+        config.variant_name(): report(1, reranked(items), reranked(rel), reranked(relevance)),
     }
 
 

@@ -222,10 +222,11 @@ class TestErrorSurface:
         assert "\n" not in err
 
     @staticmethod
-    def _single_error_line(capsys, kind):
+    def _single_error_line(capsys, kind, names=""):
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"error: {kind}:"), err
         assert "\n" not in err
+        assert names in err, err
 
     def test_truncated_checkpoint_single_line_error(self, workspace, checkpoint, tmp_path,
                                                     capsys):
@@ -236,6 +237,30 @@ class TestErrorSurface:
         assert main(["eval", "--checkpoint", str(cut), "--data", str(data),
                      "--out", str(tmp_path / "report")]) == 1
         self._single_error_line(capsys, "ContractError")
+
+    def test_missing_config_single_line_error(self, workspace, tmp_path, capsys):
+        root, config, data = workspace
+        missing = tmp_path / "none.cfg"
+        capsys.readouterr()
+        assert main(["train", "--config", str(missing), "--data", str(data),
+                     "--out", str(tmp_path / "x.ckpt")]) == 1
+        self._single_error_line(capsys, "ConfigError", str(missing))
+
+    def test_unwritable_dataset_single_line_error(self, workspace, tmp_path, capsys):
+        root, config, data = workspace
+        capsys.readouterr()
+        assert main(["gen-data", "--config", str(config),
+                     "--out", str(tmp_path / "nodir" / "base")]) == 1
+        self._single_error_line(capsys, "ConfigError", str(tmp_path / "nodir"))
+
+    def test_unwritable_checkpoint_single_line_error(self, workspace, tmp_path, capsys):
+        root, config, data = workspace
+        out = tmp_path / "nodir" / "x.ckpt"
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(out)]) == 1
+        self._single_error_line(capsys, "ConfigError", str(out))
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize("command", ["eval", "rerank"])
     def test_missing_checkpoint_single_line_error(self, workspace, tmp_path, capsys, command):

@@ -9,10 +9,10 @@ from par.autograd import Tensor
 from par.config import TrainConfig
 from par.data_oracle import (Catalog, ClickOracle, InitialRanker, build_dataset,
                              generate_page, generate_pages, label_pages, load_catalog,
-                             load_pages, make_user, page_display_grids, pages_from_jsonl,
+                             load_pages, make_user, page_grids, pages_from_jsonl,
                              pages_to_batch, pages_to_jsonl, write_catalog, write_pages)
 from par.errors import DataError
-from par.layout import stacked_preset
+from par.layout import fshape_preset, manhattan_distance_matrix, stacked_preset
 from par.scoring import mlp
 
 
@@ -24,6 +24,54 @@ def small_config(**overrides) -> TrainConfig:
                 experts=2, batch_size=4, epochs=1)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def reference_make_user(catalog, user_id, user_themes, t, master_seed):
+    """make_user as a per-history-slot loop: the reference for the batched version."""
+    rng = np.random.default_rng(np.random.SeedSequence([master_seed, 0x05E4, user_id]))
+    latent = rng.standard_normal(catalog.true_dim)
+    latent /= np.linalg.norm(latent)
+    themes = rng.choice(np.arange(1, catalog.themes + 1),
+                        size=min(user_themes, catalog.themes), replace=False)
+    history = np.empty(t, dtype=np.int64)
+    for s in range(t):
+        pool = catalog.theme_pool(int(rng.choice(themes)))
+        appeal = catalog.appeal(latent, pool)
+        top = pool[np.argsort(-appeal, kind="stable")[:5]]
+        history[s] = rng.choice(top)
+    return latent, themes, history
+
+
+def reference_click_prob(catalog, layout, eta1, eta2, items, rel, mask):
+    """The oracle as a per-slot loop over one (n, m) page: the batched version's reference."""
+    n, m = layout.n, layout.m
+    distances = manhattan_distance_matrix(layout)
+    real = np.zeros(n * m, dtype=bool)
+    for i in range(n):
+        real[i * m:i * m + layout.lengths[i]] = True
+    neighbors = [np.where((distances[p] == 1) & real)[0] if real[p] else
+                 np.empty(0, dtype=np.int64) for p in range(n * m)]
+    pos = np.arange(1, m + 1, dtype=np.float64)
+    lst = np.arange(1, n + 1, dtype=np.float64)
+    decay = (pos[None, :] ** -eta1) * (lst[:, None] ** -eta2)
+    emb = catalog.true_emb
+    flat_items = items.reshape(-1)
+    dissim = np.ones(n * m)
+    for p in range(n * m):
+        if mask.reshape(-1)[p] == 0:
+            continue
+        nbrs = neighbors[p]
+        if nbrs.size == 0:
+            continue
+        mean = emb[flat_items[nbrs]].mean(axis=0)
+        norm = np.linalg.norm(mean)
+        if norm < 1e-12:
+            continue
+        own = emb[flat_items[p]]
+        cos = float(own @ mean) / (norm * max(np.linalg.norm(own), 1e-12))
+        dissim[p] = min(max(1.0 - cos, 0.0), 1.0)
+    probs = rel * decay * dissim.reshape(n, m)
+    return np.clip(probs * mask, 0.0, 1.0)
 
 
 class TestCatalog:
@@ -95,6 +143,16 @@ class TestPageGeneration:
         user = make_user(cat, 7, user_themes=3, t=10, master_seed=6)
         hist_themes = set(cat.item_theme[user.history])
         assert hist_themes <= set(user.themes)
+
+    @pytest.mark.parametrize("seed", [0, 6, 7919])
+    def test_make_user_equals_per_slot_loop(self, seed):
+        cat = Catalog.build(5, 12, 8, seed=seed)
+        for uid in range(1, 7):
+            user = make_user(cat, uid, user_themes=3, t=15, master_seed=seed)
+            latent, themes, history = reference_make_user(cat, uid, 3, 15, seed)
+            np.testing.assert_array_equal(user.latent, latent)
+            np.testing.assert_array_equal(user.themes, themes)
+            np.testing.assert_array_equal(user.history, history)
 
 
 class TestInitialRanking:
@@ -206,6 +264,52 @@ class TestOracle:
         se = np.sqrt(probs * (1 - probs) / draws)
         assert np.all(np.abs(freq - probs) <= 3 * se + 1e-12)
 
+    # stacked; fshape with padded horizontal lists; fshape whose last
+    # one-item horizontal list sits alone (an isolated slot)
+    LAYOUTS = [stacked_preset(3, 5), fshape_preset(4, 2, 3), fshape_preset(2, 2, 1)]
+
+    @staticmethod
+    def random_pages(cat, layout, count, rng):
+        """(count, n, m) random arrangements with padding zeroed and random masks/rel."""
+        lengths = np.array(layout.lengths)
+        real = (np.arange(layout.m)[None, :] < lengths[:, None]).astype(float)
+        items = rng.integers(1, cat.vocab_size, size=(count, layout.n, layout.m)) * real
+        rel = (rng.uniform(size=items.shape) < 0.6) * real
+        mask = np.broadcast_to(real, items.shape).copy()
+        return items.astype(np.int64), rel.astype(float), mask
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=["stacked", "fshape", "fshape-isolated"])
+    def test_batched_equals_per_slot_loop(self, layout):
+        cat = Catalog.build(4, 12, 8, seed=7)
+        oracle = ClickOracle(cat, layout, 0.4, 0.5)
+        rng = np.random.default_rng(21)
+        items, rel, mask = self.random_pages(cat, layout, 30, rng)
+        # a padding-only neighbourhood (zero-mean neighbours) and a masked real slot
+        items[0, 0, 1:] = 0
+        items[0, 1:, 0] = 0
+        mask[1, 0, 0] = 0.0
+        probs = oracle.click_prob(items, rel, mask)
+        for p in range(len(items)):
+            ref = reference_click_prob(cat, layout, 0.4, 0.5, items[p], rel[p], mask[p])
+            np.testing.assert_array_equal(probs[p], ref)
+        assert probs[0, 0, 0] == rel[0, 0, 0]  # neutral dissimilarity at full decay
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=["stacked", "fshape", "fshape-isolated"])
+    def test_page_axis_equals_separate_calls(self, layout):
+        cat = Catalog.build(4, 12, 8, seed=7)
+        oracle = ClickOracle(cat, layout, 0.4, 0.5)
+        items, rel, mask = self.random_pages(cat, layout, 12, np.random.default_rng(22))
+        probs = oracle.click_prob(items, rel, mask)
+        assert probs.shape == items.shape
+        for p in range(len(items)):
+            np.testing.assert_array_equal(probs[p], oracle.click_prob(items[p], rel[p], mask[p]))
+        stacked = oracle.click_prob(items.reshape(3, 4, *items.shape[1:]),
+                                    rel.reshape(3, 4, *items.shape[1:]),
+                                    mask.reshape(3, 4, *items.shape[1:]))
+        np.testing.assert_array_equal(stacked.reshape(probs.shape), probs)
+        oracle.PAGE_CHUNK = 5  # pages scored in chunks of 5, 5 and 2
+        np.testing.assert_array_equal(oracle.click_prob(items, rel, mask), probs)
+
 
 class TestSerialization:
     def test_jsonl_roundtrip(self):
@@ -277,6 +381,20 @@ class TestSerialization:
         assert batch.items[0, 0, 0] == first.items[first.init_order[0]]
         assert batch.clicks[0, 0, 0] == first.clicks[0]
         assert batch.categories[0, 0, 0] == catalog.item_theme[batch.items[0, 0, 0]]
+
+    def test_page_grids_follow_display_order(self):
+        config = small_config(layout="fshape", v_len=4, h_count=2, h_len=3, n=3, m=4)
+        _, train, _ = build_dataset(config)
+        layout = config.build_layout()
+        items, rel, mask = page_grids(train, layout)
+        assert items.shape == rel.shape == mask.shape == (len(train), 3, 4)
+        for p, page in enumerate(train):
+            for i, lst in enumerate(page.lists):
+                length = layout.lengths[i]
+                assert items[p, i, :length].tolist() == [lst.items[k] for k in lst.init_order]
+                assert rel[p, i, :length].tolist() == lst.displayed_rel()
+                assert mask[p, i].tolist() == [1.0] * length + [0.0] * (4 - length)
+                assert items[p, i, length:].tolist() == [0] * (4 - length)
 
     def test_labels_cover_real_slots(self):
         config = small_config()

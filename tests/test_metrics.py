@@ -128,12 +128,46 @@ class TestMap:
             assert (abs(average_precision(rel) - 1.0) < 1e-12) == sorted_first, rel
 
 
+class TestBatchedRankingMetrics:
+    def test_rows_equal_single_rankings(self):
+        rng = np.random.default_rng(3)
+        rel = (rng.uniform(size=(6, 3, 7)) < 0.3).astype(float)
+        nd, ap = ndcg(rel), average_precision(rel)
+        assert nd.shape == ap.shape == (6, 3)
+        for p in range(6):
+            for i in range(3):
+                assert abs(nd[p, i] - brute_force_ndcg(rel[p, i])) < 1e-12
+                assert abs(ap[p, i] - brute_force_ap(rel[p, i])) < 1e-12
+
+    def test_report_on_padded_fshape_pages(self):
+        # fshape-like pages: one vertical list of 4, two horizontal lists of 3
+        # padded to m = 4, plus a masked slot inside a list
+        rng = np.random.default_rng(4)
+        lengths = [4, 3, 3]
+        mask = np.tile((np.arange(4)[None, :] < np.array(lengths)[:, None]).astype(float),
+                       (9, 1, 1))
+        mask[2, 0, 1] = 0.0
+        rel = (rng.uniform(size=mask.shape) < 0.4) * mask
+        rel[2, 0] = [0, 0, 0, 1]  # ranked third of the list's real slots, not fourth
+        probs = rng.uniform(size=mask.shape) * mask
+        clicks = (rng.uniform(size=mask.shape) < probs).astype(np.int64)
+        report = compute_report(clicks, probs, rel, mask, ("v", "h1", "h2"), seed=3)
+        rows = [[int(x) for x in rel[p, i][mask[p, i] > 0]] for p in range(9) for i in range(3)]
+        assert abs(report.ndcg - np.mean([brute_force_ndcg(r) for r in rows])) < 1e-12
+        assert abs(report.map - np.mean([brute_force_ap(r) for r in rows])) < 1e-12
+        assert report.utility == np.mean([c.sum() for c in clicks])
+        assert abs(report.sctr - np.mean([q.sum() for q in probs])) < 1e-12
+        for i, role in enumerate(("v", "h1", "h2")):
+            assert abs(report.sctr_per_list[role] - np.mean([q[i].sum() for q in probs])) < 1e-12
+
+
 class TestReportAssembly:
     def make_report(self):
-        clicks = [np.array([[1.0, 0.0], [0.0, 1.0]])]
-        probs = [np.array([[0.5, 0.1], [0.2, 0.3]])]
-        rel = [[[1, 0], [1, 1]]]
-        return compute_report(clicks, probs, rel, roles=("h1", "h2"), seed=7)
+        clicks = np.array([[[1.0, 0.0], [0.0, 1.0]]])
+        probs = np.array([[[0.5, 0.1], [0.2, 0.3]]])
+        rel = np.array([[[1, 0], [1, 1]]])
+        return compute_report(clicks, probs, rel, np.ones((1, 2, 2)), roles=("h1", "h2"),
+                              seed=7)
 
     def test_fields(self):
         report = self.make_report()

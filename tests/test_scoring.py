@@ -209,6 +209,16 @@ class TestRerank:
             for i in range(n):
                 assert sorted(perm[i]) == list(range(m))
 
+    def test_page_axis_equals_per_page_calls(self):
+        rng = np.random.default_rng(12)
+        scores = np.round(rng.uniform(size=(7, 3, 5)), 1)  # ties
+        mask = (np.arange(5)[None, :] < np.array([5, 3, 4])[:, None]).astype(float)
+        mask = np.broadcast_to(mask, scores.shape)
+        perms = rerank(scores, mask)
+        assert perms.shape == scores.shape
+        for p in range(7):
+            np.testing.assert_array_equal(perms[p], rerank(scores[p], mask[p]))
+
     def test_invariant_to_monotone_transform(self):
         rng = np.random.default_rng(11)
         scores = rng.uniform(0.05, 0.95, (3, 6))

@@ -11,6 +11,7 @@ from par import trainer
 from par.config import TrainConfig, with_variant
 from par.data_oracle import build_dataset
 from par.errors import ConfigError, ContractError, DataError, NumericError
+from par.model import ParModel
 from par.trainer import Checkpoint, evaluate, gradcheck, tiny_gradcheck_config, train
 
 
@@ -144,6 +145,31 @@ class TestCheckpoint:
                 Checkpoint.from_bytes(blob[:cut])
         with pytest.raises(ContractError):
             Checkpoint.from_bytes(blob + b"\x00" * 8)
+
+    def test_build_model_copies_the_stored_tensors(self, toy_dataset):
+        config, catalog, train_pages, _ = toy_dataset
+        ckpt = train(config, train_pages, catalog)
+        model = ckpt.build_model()
+        assert model.param_names() == ParModel(config, config.build_layout(),
+                                               config.seed).param_names()
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(p.values, ckpt.tensors[name])
+            assert p.values is not ckpt.tensors[name] and p.requires_grad
+
+    def test_build_model_rejects_mismatched_tensors(self, toy_dataset):
+        config, catalog, train_pages, _ = toy_dataset
+        ckpt = train(dataclasses.replace(config, epochs=0), train_pages, catalog)
+        first = next(iter(ckpt.tensors))
+        edits = {
+            "missing": lambda t: t.pop(first),
+            "extra": lambda t: t.update({"extra.w": np.zeros(1)}),
+            "shape": lambda t: t.update({first: t[first][:-1]}),
+        }
+        for edit in edits.values():
+            tensors = dict(ckpt.tensors)
+            edit(tensors)
+            with pytest.raises(ContractError):
+                dataclasses.replace(ckpt, tensors=tensors).build_model()
 
     def test_variant_checkpoint_rebuilds_variant_model(self, toy_dataset):
         config, catalog, train_pages, _ = toy_dataset
