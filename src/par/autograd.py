@@ -1,10 +1,17 @@
-"""Dense float64 tensors with reverse-mode differentiation and Adam.
+"""Dense tensors with reverse-mode differentiation and Adam.
 
 The graph is define-by-run: every forward pass records closures that map the
 output gradient back to the operand gradients. Values are numpy arrays and are
 treated as immutable once a tensor is built; only the ``grad`` slot mutates.
-All math is 64-bit so that analytic gradients can be checked against central
-finite differences at 1e-4 relative tolerance.
+
+A graph computes in the dtype of its inputs. A float32 array stays float32;
+anything else (float64, ints, Python scalars, lists) becomes float64. A
+constant operand (anything not a Tensor) takes the dtype of the tensor it
+meets, and gradients keep the dtype of their tensors, so a float32 graph never
+upcasts and a float64 graph never downcasts. Training, Adam and the gradient
+checks run in float64, so that analytic gradients can be checked against
+central finite differences at 1e-4 relative tolerance; page scoring runs in
+float32 (`trainer._score_pages`).
 """
 
 from __future__ import annotations
@@ -19,8 +26,18 @@ Array = np.ndarray
 
 
 def _as_array(values) -> Array:
-    arr = np.asarray(values, dtype=np.float64)
-    return arr
+    if isinstance(values, (np.ndarray, np.generic)) and values.dtype == np.float32:
+        return np.asarray(values)
+    return np.asarray(values, dtype=np.float64)
+
+
+def _operands(a, b) -> tuple["Tensor", "Tensor"]:
+    """Both operands as tensors; a constant takes the dtype of the tensor operand."""
+    if isinstance(a, Tensor) and not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.values.dtype))
+    elif isinstance(b, Tensor) and not isinstance(a, Tensor):
+        a = Tensor(np.asarray(a, dtype=b.values.dtype))
+    return as_tensor(a), as_tensor(b)
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -146,7 +163,7 @@ def _make(values: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     try:
         out = a.values + b.values
     except ValueError:
@@ -159,7 +176,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     try:
         out = a.values - b.values
     except ValueError:
@@ -172,7 +189,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     try:
         out = a.values * b.values
     except ValueError:
@@ -367,7 +384,7 @@ def expert_mixture(z: Tensor, gamma: Tensor, weights: list[Tensor],
     for w, b in zip(weights[1:], biases[1:]):
         prev = acts[-1]
         np.maximum(prev, 0.0, out=prev)
-        nxt = np.empty((n_rows, n_experts, w.shape[-1]))
+        nxt = np.empty((n_rows, n_experts, w.shape[-1]), dtype=first.dtype)
         for e in range(n_experts):
             np.matmul(prev[:, e], w.values[e], out=nxt[:, e])
         nxt += b.values
@@ -452,17 +469,26 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return _make(out, tuple(tensors), vjp)
 
 
-def gather(table: Tensor, ids: Array) -> Tensor:
-    """Row lookup `table[ids]`; backward scatter-adds into the table rows."""
+def gather(table: Tensor, ids: Array, pad: bool = False) -> Tensor:
+    """Row lookup `table[ids]`; backward scatter-adds into the table rows.
+
+    With `pad`, id 0 stands for a constant zero row in front of the table:
+    id k reads `table[k - 1]`, and id 0 reads zeros and takes no gradient.
+    """
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ContractError(f"gather ids out of range for table with {table.shape[0]} rows")
-    out = table.values[ids]
+    rows = table.shape[0] + int(pad)
+    if ids.size and (ids.min() < 0 or ids.max() >= rows):
+        raise ContractError(f"gather ids out of range for table with {rows} rows")
+    if pad:
+        out = table.values[ids - 1]
+        out[ids == 0] = 0.0
+    else:
+        out = table.values[ids]
 
     def vjp(g):
-        gt = np.zeros_like(table.values)
+        gt = np.zeros((rows,) + table.shape[1:], dtype=g.dtype)
         np.add.at(gt, ids, g)
-        return (gt,)
+        return (gt[int(pad):],)
 
     return _make(out, (table,), vjp)
 
@@ -524,7 +550,7 @@ def backward(loss: Tensor) -> None:
         for parent, g in zip(node._parents, grads):
             if g is None or not parent.requires_grad:
                 continue
-            g = np.asarray(g, dtype=np.float64)
+            g = np.asarray(g)
             prev = local.get(id(parent))
             local[id(parent)] = g if prev is None else prev + g
 

@@ -3,7 +3,9 @@
 Dataset paths are base paths: gen-data writes BASE.train.jsonl,
 BASE.test.jsonl, and BASE.catalog.json, and the other commands read them.
 All outputs are written atomically; any failure exits nonzero with a single
-`error: <Kind>: <message>` line on stderr.
+`error: <Kind>: <message>` line on stderr. A floating-point overflow or
+invalid value inside a command is such a failure (`NumericError`), not a
+warning.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ import logging
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import VARIANTS, TrainConfig, load_config, with_variant
 from .data_oracle import (atomic_write, load_catalog, load_pages, pages_to_batch,
                           write_catalog, write_pages)
-from .errors import ConfigError, ParError
+from .errors import ConfigError, NumericError, ParError
 from .metrics import ReportTable, report_timestamp
 from .scoring import rerank
 from .trainer import (Checkpoint, evaluate, gradcheck, tiny_gradcheck_config, train,
@@ -86,7 +90,8 @@ def cmd_rerank(args) -> int:
     validate_dataset(config, pages, catalog)
     layout = config.build_layout()
     batch = pages_to_batch(pages, catalog, layout, config.t)
-    perms = rerank(_score_pages(checkpoint.build_model(), batch), batch.mask).tolist()
+    perms = rerank(_score_pages(checkpoint.build_model(float32=True), batch),
+                   batch.mask).tolist()
 
     lines = []
     for page, page_perms in zip(pages, perms):
@@ -220,8 +225,11 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.func(args)
-    except ParError as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
+    except (ParError, FloatingPointError) as exc:
+        if isinstance(exc, FloatingPointError):
+            exc = NumericError(str(exc))
         message = " ".join(str(exc).split())
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 1

@@ -1,8 +1,8 @@
 """Id-to-vector embedding tables and the batched page/history inputs.
 
 Id 0 is the padding id on both the candidate and history side. The zero row
-is not a parameter: tables store rows 1..vocab-1 and prepend a constant zero
-row at lookup time, so padding can never drift or receive gradient.
+is not a parameter: tables store rows 1..vocab-1 and the lookup reads zeros
+for id 0, so padding can never drift or receive gradient.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ class EmbeddingTable:
         self.vocab_size = rows + 1
         self.dim = dim
         self.weights = weights
-        self._zero_row = Tensor(np.zeros((1, dim)))
 
     def lookup(self, ids: np.ndarray) -> Tensor:
         ids = np.asarray(ids)
@@ -46,8 +45,7 @@ class EmbeddingTable:
             bad = ids[(ids < 0) | (ids >= self.vocab_size)]
             if bad.size:
                 raise DataError(f"id {int(bad.flat[0])} outside vocabulary of size {self.vocab_size}")
-        table = ag.concat([self._zero_row, self.weights], axis=0)
-        return ag.gather(table, ids)
+        return ag.gather(self.weights, ids, pad=True)
 
 
 @dataclass

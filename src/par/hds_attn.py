@@ -86,11 +86,11 @@ def dual_side_attention(x_emb: Tensor, h_emb: Tensor, params: DualSideParams,
 
     cand_logits = ag.tanh(xw + ag.matmul(ag.transpose(hw), affinity))      # (b, n, m, m)
     cand_bias = _key_mask_bias(mask)[:, :, None, :]                        # keys axis = m
-    a_x = ag.softmax(cand_logits + Tensor(cand_bias), axis=-1)
+    a_x = ag.softmax(cand_logits + cand_bias, axis=-1)
 
     hist_logits = ag.transpose(ag.tanh(hw + ag.matmul(affinity, xw)))      # (b, n, m, t)
     hist_bias = _key_mask_bias(_history_attention_mask(history_mask))[:, None, None, :]
-    a_h = ag.softmax(hist_logits + Tensor(hist_bias), axis=-1)
+    a_h = ag.softmax(hist_logits + hist_bias, axis=-1)
 
     x_tilde = ag.matmul(a_x, x_emb)                                # (b, n, m, d_x)
     h_tilde = ag.matmul(a_h, h4)                                   # (b, n, m, d_h)
@@ -107,9 +107,9 @@ def candidate_self_attention(x_emb: Tensor, mask: np.ndarray) -> tuple[Tensor, T
     b, n, m, d_x = x_emb.shape
     logits = ag.matmul(x_emb, ag.transpose(x_emb)) / math.sqrt(d_x)
     bias = _key_mask_bias(mask)[:, :, None, :]
-    attn = ag.softmax(logits + Tensor(bias), axis=-1)
+    attn = ag.softmax(logits + bias, axis=-1)
     x_tilde = ag.matmul(attn, x_emb)
-    h_tilde = Tensor(np.zeros((b, n, m, d_x)))
+    h_tilde = Tensor(np.zeros((b, n, m, d_x), dtype=x_emb.values.dtype))
     return x_tilde, h_tilde
 
 
@@ -120,7 +120,7 @@ def item_level_aggregation(x_tilde: Tensor, h_tilde: Tensor,
     cat = ag.concat([x_tilde, h_tilde], axis=-1)                   # (b, n, m, d_l)
     u = ag.tanh(ag.matmul(cat, params.w_l) + params.b_l)
     scores = ag.reshape(ag.matmul(u, params.q_item), (b, n, m))
-    alpha = ag.softmax(scores + Tensor(_key_mask_bias(mask)), axis=-1)
+    alpha = ag.softmax(scores + _key_mask_bias(mask), axis=-1)
     pooled = ag.matmul(ag.reshape(alpha, (b, n, 1, m)), cat)       # (b, n, 1, d_l)
     return ag.reshape(pooled, (b, n, cat.shape[-1]))
 

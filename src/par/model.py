@@ -4,7 +4,9 @@ Ablated components are absent from the parameter inventory, not merely
 skipped: their contribution to the scoring input is a zero block of the same
 width, so output shapes never change across variants.
 
-The forward pass scores relevance; `predict` and reranking sort by it.
+The forward pass scores relevance; `predict` and reranking sort by it. The
+forward computes in its parameters' dtype: float64 for training, float32 for
+scoring pages (`float32_copy`, `float32_tensors`).
 Training fits the logged clicks as relevance times a per-slot examination
 probability (`exam.logit`, in every variant), so the position bias of the
 ranking the clicks were logged under goes into the examination table and
@@ -201,13 +203,16 @@ class ParModel:
 
         x_emb = embed_page(batch, self.item_table, self.category_table)
 
+        def zeros(*shape: int) -> Tensor:  # an ablated block, in the parameters' dtype
+            return Tensor(np.zeros(shape, dtype=x_emb.values.dtype))
+
         if c.hdsa:
-            page_vec = Tensor(np.zeros((b, c.d_l)))
+            page_vec = zeros(b, c.d_l)
         else:
             if c.dsa:
                 x_t, h_t = candidate_self_attention(x_emb, batch.mask)
                 if c.d_h != c.d_x:
-                    h_t = Tensor(np.zeros((b, n, m, c.d_h)))
+                    h_t = zeros(b, n, m, c.d_h)
             else:
                 h_emb = embed_history(batch, self.hist_item_table, self.hist_category_table)
                 x_t, h_t = dual_side_attention(x_emb, h_emb, self.dual,
@@ -216,7 +221,7 @@ class ParModel:
             page_vec = list_level_aggregation(list_level_self_attention(pooled), self.agg)
 
         if c.ssa:
-            influence = Tensor(np.zeros((b, n, m, c.d_o)))
+            influence = zeros(b, n, m, c.d_o)
         else:
             flat = ag.reshape(x_emb, (b, n * m, c.d_x))
             out = spatial_scaled_attention(flat, self.distances, self.ss,
@@ -225,7 +230,7 @@ class ParModel:
             influence = ag.reshape(out, (b, n, m, c.d_o))
 
         if c.dn:
-            dense_feat = Tensor(np.zeros((b, n, m, c.d_r)))
+            dense_feat = zeros(b, n, m, c.d_r)
         else:
             dense_feat = dense_network(x_emb, self.dense)
 
@@ -253,3 +258,32 @@ class ParModel:
 
     def predict(self, batch: PageBatch) -> np.ndarray:
         return self.forward(batch).values
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.exam_logit.values.dtype
+
+    def float32_copy(self) -> "ParModel":
+        """The same model with float32 parameters, whose forward runs in float32."""
+        return ParModel(self.config, self.layout, self.seed,
+                        float32_tensors({name: p.values for name, p in self._params.items()}))
+
+
+def float32_tensors(tensors: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Float32 copies of named tensors, cast into one buffer and checked at once.
+
+    Refuses, naming it, a tensor with a value beyond the float32 range (or an
+    infinite one), which the cast turns into an infinity.
+    """
+    cast = np.empty(sum(values.size for values in tensors.values()), dtype=np.float32)
+    out, start = {}, 0
+    with np.errstate(over="ignore"):  # an overflow leaves an infinity, refused below
+        for name, values in tensors.items():
+            out[name] = cast[start:start + values.size].reshape(values.shape)
+            out[name][...] = values
+            start += values.size
+    if np.isinf(cast).any():
+        name = next(name for name, values in out.items() if np.isinf(values).any())
+        raise ContractError(f"tensor '{name}' holds a value outside the float32 range "
+                            f"(|x| > {np.finfo(np.float32).max:.3g})")
+    return out

@@ -39,9 +39,9 @@ def learnable_sigmoid(d, v, sigma: float = 0.1) -> Tensor:
     and decreases strictly in d for sigma > 0. Differentiable in v; d is
     treated as a constant.
     """
-    v = v if isinstance(v, Tensor) else Tensor(np.asarray(v, dtype=np.float64))
+    v = ag.as_tensor(v)
     d = np.asarray(d, dtype=np.float64)
-    shifted = v + Tensor(sigma * d)
+    shifted = v + sigma * d  # a constant: takes v's dtype
     return ag.exp(ag.softplus(v) - ag.softplus(shifted))
 
 
@@ -79,8 +79,8 @@ def spatial_scaled_attention(x_flat: Tensor, distances: np.ndarray,
         logits = raw / math.sqrt(d_a)
 
     bias = _key_mask_bias(mask)[:, None, None, :]                  # keys axis
-    attn = ag.softmax(logits + Tensor(bias), axis=-1)
+    attn = ag.softmax(logits + bias, axis=-1)
     heads = ag.matmul(attn, val)                                   # (b, B, nm, d_a)
     merged = ag.reshape(ag.transpose(heads, (0, 2, 1, 3)), (b, nm, n_heads * d_a))
     out = ag.matmul(merged, params.w_o)                            # (b, nm, d_o)
-    return out * Tensor(mask[:, :, None])
+    return out * mask[:, :, None]

@@ -24,7 +24,7 @@ from .data_oracle import (Catalog, ClickOracle, PageRecord, atomic_write, displa
 from .embedding import PageBatch
 from .errors import ConfigError, ContractError, DataError, NumericError
 from .metrics import MetricReport, compute_report
-from .model import ParModel
+from .model import ParModel, float32_tensors
 from .scoring import rerank
 
 log = logging.getLogger(__name__)
@@ -104,8 +104,10 @@ class Checkpoint:
             raise ConfigError(f"cannot read checkpoint {path}: {exc.strerror}") from None
         return cls.from_bytes(blob)
 
-    def build_model(self) -> ParModel:
-        return ParModel(self.config, self.config.build_layout(), self.config.seed, self.tensors)
+    def build_model(self, float32: bool = False) -> ParModel:
+        """The checkpoint's model; with `float32`, built straight in float32 for scoring."""
+        tensors = float32_tensors(self.tensors) if float32 else self.tensors
+        return ParModel(self.config, self.config.build_layout(), self.config.seed, tensors)
 
 
 def _snapshot(model: ParModel, config: TrainConfig, epoch: int,
@@ -182,11 +184,19 @@ def train(config: TrainConfig, pages: list[PageRecord], catalog: Catalog) -> Che
 
 
 def _score_pages(model: ParModel, batch: PageBatch, chunk: int = 128) -> np.ndarray:
+    """Float32 relevance scores of every page, `chunk` pages per forward pass.
+
+    Scoring runs on a float32 copy of the model, made once per call unless the
+    model is float32 already: ranking needs the order of the scores, not
+    their last bits, and float32 halves the forward's memory traffic.
+    Training stays float64 (see README).
+    """
+    scorer = model if model.dtype == np.float32 else model.float32_copy()
     scores = []
     with ag.no_grad():
         for start in range(0, batch.size, chunk):
             sub = batch.select(np.arange(start, min(start + chunk, batch.size)))
-            scores.append(model.predict(sub))
+            scores.append(scorer.predict(sub))
     return np.concatenate(scores, axis=0)
 
 
@@ -207,7 +217,7 @@ def evaluate(checkpoint: Checkpoint, pages: list[PageRecord], catalog: Catalog,
     seed = config.eval_seed if eval_seed is None else eval_seed
     layout = config.build_layout()
     oracle = ClickOracle(catalog, layout, config.eta1, config.eta2)
-    model = checkpoint.build_model()
+    model = checkpoint.build_model(float32=True)
     batch = pages_to_batch(pages, catalog, layout, config.t)
     items, mask, rel = batch.items, batch.mask, displayed_grid(pages, layout, "rel")
     perms = rerank(_score_pages(model, batch), mask)

@@ -298,6 +298,59 @@ class TestGraph:
         expected[3] = 1.0
         np.testing.assert_array_equal(table.grad, expected)
 
+    def test_padded_gather_reads_zeros_for_id_zero(self):
+        table = Tensor(np.arange(1.0, 10.0).reshape(3, 3), requires_grad=True)
+        out = ag.gather(table, np.array([[0, 3], [1, 0]]), pad=True)
+        np.testing.assert_array_equal(out.values[0, 0], np.zeros(3))
+        np.testing.assert_array_equal(out.values[0, 1], table.values[2])
+        np.testing.assert_array_equal(out.values[1, 0], table.values[0])
+        (out * 2.0).sum().backward()
+        np.testing.assert_array_equal(table.grad, [[2.0] * 3, [0.0] * 3, [2.0] * 3])
+        with pytest.raises(ContractError):
+            ag.gather(table, np.array([4]), pad=True)
+
+
+class TestDtype:
+    """A graph computes in its inputs' dtype: float32 stays float32, all else is float64."""
+
+    F32 = np.dtype(np.float32)
+
+    def test_inputs_that_are_not_float32_become_float64(self):
+        for values in ([1, 2], np.arange(3), 2.5, np.ones(2, np.float16), np.ones(2)):
+            assert Tensor(values).values.dtype == np.float64
+        assert Tensor(np.ones(2, np.float32)).values.dtype == self.F32
+        assert Tensor(np.float32(2.0)).values.dtype == self.F32
+
+    def test_constants_take_the_float32_tensors_dtype(self):
+        x = Tensor(np.linspace(-1, 1, 6, dtype=np.float32).reshape(2, 3))
+        constant64 = np.linspace(0, 1, 3)
+        outs = [-x, x / 3.0, x / math.sqrt(5), 2.0 * x, x + 1, 1.0 - x, x - np.asarray(2.0),
+                x * np.asarray(-1.0), x + constant64, ag.mul(constant64, x)]
+        assert [out.values.dtype for out in outs] == [self.F32] * len(outs)
+        np.testing.assert_allclose((x + constant64).values, x.values + constant64, rtol=1e-6)
+
+    def test_float32_gradients_stay_float32(self):
+        rng = np.random.default_rng(90)
+        x = Tensor(rng.standard_normal((4, 3)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 2)).astype(np.float32), requires_grad=True)
+        loss = (ag.softmax(ag.sigmoid(x @ w) / 2.0, axis=-1) * np.ones(2)).sum()
+        loss.backward()
+        assert loss.values.dtype == x.grad.dtype == w.grad.dtype == self.F32
+
+    def test_expert_mixture_in_float32(self):
+        rng = np.random.default_rng(91)
+        weights, biases = make_experts(rng, 3, (4, 5, 3, 2))
+        z, gamma = rng.uniform(-1, 1, (6, 4)), rng.dirichlet(np.ones(3), size=6)
+        ref = ag.expert_mixture(Tensor(z), Tensor(gamma), weights, biases)
+        f32 = [Tensor(t.values.astype(np.float32), requires_grad=True)
+               for t in weights + biases]
+        z32 = Tensor(z.astype(np.float32), requires_grad=True)
+        out = ag.expert_mixture(z32, Tensor(gamma.astype(np.float32)), f32[:3], f32[3:])
+        assert out.values.dtype == self.F32
+        np.testing.assert_allclose(out.values, ref.values, rtol=0, atol=1e-5)
+        out.sum().backward()
+        assert {t.grad.dtype for t in f32 + [z32]} == {self.F32}
+
     def test_concat_and_reshape_roundtrip_gradient(self):
         rng = np.random.default_rng(9)
         a0 = rng.uniform(-1, 1, (2, 3))

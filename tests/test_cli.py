@@ -3,9 +3,12 @@
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
+import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from par import cli
 from par.cli import main
 from par.config import load_config, parse_config_text
 from par.errors import ConfigError
@@ -309,6 +313,102 @@ def _edit_last_test_page(base: Path, edit) -> int:
     lines[-1] = json.dumps(page)
     test.write_text("\n".join(lines) + "\n")
     return len(lines)
+
+
+def _flip(blob: bytes, offset: int, bit: int) -> bytes:
+    return blob[:offset] + bytes([blob[offset] ^ (1 << bit)]) + blob[offset + 1:]
+
+
+def _emb_item_exponent_flip(blob: bytes) -> bytes:
+    """`blob` with the top exponent bit of its first `emb.item` value flipped.
+
+    The value goes from about -0.035 to about -5e306: finite in float64,
+    beyond the float32 range.
+    """
+    (head_len,) = struct.unpack("<I", blob[8:12])
+    offset = 12 + head_len
+    for meta in json.loads(blob[12:offset])["tensors"]:
+        if meta["name"] == "emb.item":
+            return _flip(blob, offset + 7, 6)
+        offset += 8 * math.prod(meta["shape"])
+    raise AssertionError("checkpoint holds no emb.item")
+
+
+def _run_lines(command: str, checkpoint: Path, base: Path, out: Path) -> tuple[int, list[str]]:
+    """Exit code and every stderr line of one command, warnings included."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = _run_stderr(command, checkpoint, base, out)
+    return code, err.splitlines() + [f"{w.category.__name__}: {w.message}" for w in caught]
+
+
+class TestCheckpointFuzz:
+    """Corrupted checkpoints through `eval` and `rerank`: exit 0, or one error line."""
+
+    @staticmethod
+    def cases(blob: bytes) -> dict[str, bytes]:
+        rng = np.random.default_rng(20231)
+        (head_len,) = struct.unpack("<I", blob[8:12])
+        payload = 12 + head_len
+        cuts = {0, 4, 8, 11, 12, 13, payload - 1, payload, payload + 1, len(blob) - 8,
+                len(blob) - 1}
+        cuts |= set(rng.integers(0, len(blob), size=20).tolist())
+        cases = {f"cut {n}": blob[:n] for n in sorted(cuts)}
+        for lo, hi in ((0, payload), (payload, len(blob))):
+            for offset, bit in zip(rng.integers(lo, hi, size=75), rng.integers(0, 8, size=75)):
+                cases[f"flip byte {offset} bit {bit}"] = _flip(blob, int(offset), int(bit))
+        cases["emb.item exponent"] = _emb_item_exponent_flip(blob)
+        return cases
+
+    @pytest.mark.parametrize("command", ["eval", "rerank"])
+    def test_exit_zero_or_one_error_line(self, workspace, checkpoint, tmp_path, command):
+        root, config, data = workspace
+        bad = []
+        for name, blob in self.cases(checkpoint.read_bytes()).items():
+            corrupt = tmp_path / "corrupt.ckpt"
+            corrupt.write_bytes(blob)
+            code, lines = _run_lines(command, corrupt, data, tmp_path / "out")
+            if not (code == 0 and not lines
+                    or code == 1 and len(lines) == 1 and lines[0].startswith("error: ")):
+                bad.append((name, code, lines))
+        assert not bad, bad
+
+    @pytest.mark.parametrize("command", ["eval", "rerank"])
+    def test_value_beyond_float32_range_is_named(self, workspace, checkpoint, tmp_path,
+                                                 command):
+        root, config, data = workspace
+        corrupt = tmp_path / "corrupt.ckpt"
+        corrupt.write_bytes(_emb_item_exponent_flip(checkpoint.read_bytes()))
+        code, lines = _run_lines(command, corrupt, data, tmp_path / "out")
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: ContractError:"), lines
+        assert "'emb.item'" in lines[0] and "float32" in lines[0]
+
+
+class TestFloatingPointFaults:
+    def test_overflow_inside_a_command_is_one_error_line(self, workspace, checkpoint,
+                                                         tmp_path, monkeypatch):
+        root, config, data = workspace
+
+        def overflowing(*args, **kwargs):
+            return np.array([1e308]) * 10.0
+
+        monkeypatch.setattr(cli, "evaluate", overflowing)
+        code, lines = _run_lines("eval", checkpoint, data, tmp_path / "report")
+        assert code == 1
+        assert lines == ["error: NumericError: overflow encountered in multiply"]
+
+    def test_invalid_value_inside_a_command_is_one_error_line(self, workspace, checkpoint,
+                                                              tmp_path, monkeypatch):
+        root, config, data = workspace
+
+        def invalid(*args, **kwargs):
+            return np.array([np.inf]) - np.inf
+
+        monkeypatch.setattr(cli, "evaluate", invalid)
+        code, lines = _run_lines("eval", checkpoint, data, tmp_path / "report")
+        assert code == 1
+        assert lines == ["error: NumericError: invalid value encountered in subtract"]
 
 
 class TestMalformedPages:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from par.autograd import Tensor, finite_diff_check
+from par import autograd as ag
+from par.autograd import AdamState, Tensor, adam_step, finite_diff_check
 from par.config import VARIANTS, TrainConfig, with_variant
 from par.embedding import PageBatch
+from par.errors import ContractError
 from par.model import ParModel
 from par.scoring import bce_loss
 
@@ -151,6 +153,77 @@ class TestExaminationLoss:
         high = self.model_with_table(config, np.linspace(-1, 4, config.n * config.m)
                                      .reshape(config.n, config.m))
         np.testing.assert_array_equal(low.predict(batch), high.predict(batch))
+
+
+@pytest.fixture
+def created(monkeypatch):
+    """Every Tensor built while the test runs."""
+    made = []
+    init = Tensor.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(Tensor, "__init__", recording)
+    return made
+
+
+F32, F64 = np.dtype(np.float32), np.dtype(np.float64)
+
+
+class TestDtypes:
+    """Scoring runs in float32 and training in float64; neither leaks into the other."""
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    @pytest.mark.parametrize("d_h", [4, 3], ids=["shared-history-table", "own-history-table"])
+    def test_float32_forward_creates_no_float64_tensor(self, variant, d_h, created):
+        config = with_variant(tiny_config(d_h=d_h), variant)
+        model = ParModel(config, config.build_layout(), 2).float32_copy()
+        created.clear()
+        with ag.no_grad():
+            scores = model.predict(tiny_batch(config))
+        assert scores.dtype == F32
+        assert created and {t.values.dtype for t in created} == {F32}
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    @pytest.mark.parametrize("d_h", [4, 3], ids=["shared-history-table", "own-history-table"])
+    def test_float64_training_step_creates_no_float32_value_or_gradient(self, variant, d_h,
+                                                                        created):
+        config = with_variant(tiny_config(d_h=d_h), variant)
+        model = ParModel(config, config.build_layout(), 2)
+        loss, _ = model.loss(tiny_batch(config))
+        ag.backward(loss)
+        params = list(model.params.values())
+        adam_step(params, [p.grad for p in params], AdamState())
+        tensors = created + params
+        assert {t.values.dtype for t in tensors} == {F64}
+        grads = [t.grad for t in tensors if t.grad is not None]
+        assert len(grads) > len(params) and {g.dtype for g in grads} == {F64}
+
+    def test_float32_copy_rounds_every_parameter_and_leaves_the_model(self):
+        config = tiny_config()
+        model = ParModel(config, config.build_layout(), 4)
+        copy = model.float32_copy()
+        assert copy.param_names() == model.param_names()
+        for name, p in model.params.items():
+            assert p.values.dtype == F64
+            np.testing.assert_array_equal(copy.params[name].values, p.values.astype(np.float32))
+
+    @pytest.mark.parametrize("value", [1e39, -np.inf])
+    def test_float32_copy_refuses_a_value_beyond_float32_range(self, value):
+        config = tiny_config()
+        model = ParModel(config, config.build_layout(), 4)
+        model.params["dense.w0"].values[0, 0] = value
+        with pytest.raises(ContractError, match="'dense.w0'.*float32"):
+            model.float32_copy()
+
+    def test_float32_scores_match_float64_scores(self):
+        config = tiny_config()
+        model = ParModel(config, config.build_layout(), 5)
+        batch = tiny_batch(config)
+        np.testing.assert_allclose(model.float32_copy().predict(batch), model.predict(batch),
+                                   rtol=0, atol=1e-6)
 
 
 class TestEndToEndGradients:

@@ -12,6 +12,7 @@ from par.config import TrainConfig, with_variant
 from par.data_oracle import build_dataset, pages_to_batch
 from par.errors import ConfigError, ContractError, DataError, NumericError
 from par.model import ParModel
+from par.scoring import rerank
 from par.trainer import Checkpoint, evaluate, gradcheck, tiny_gradcheck_config, train
 
 
@@ -258,6 +259,23 @@ class TestEvaluate:
         assert labels["PAR"].ndcg != clicks["PAR"].ndcg
         with pytest.raises(ConfigError):
             evaluate(ckpt, test_pages, catalog, relevance_source="bogus")
+
+
+class TestScorePages:
+    """`_score_pages`, which `evaluate` and `par rerank` rank by, scores in float32."""
+
+    @pytest.mark.parametrize("variant", ["PAR", "PAR-scale", "PAR-MMoE"])
+    def test_float32_scores_rank_like_float64_predict(self, toy_dataset, variant):
+        config, catalog, train_pages, test_pages = toy_dataset
+        ckpt = train(with_variant(config, variant), train_pages, catalog)
+        model = ckpt.build_model()
+        batch = pages_to_batch(test_pages, catalog, config.build_layout(), config.t)
+        scores = trainer._score_pages(model, batch, chunk=5)
+        reference = model.predict(batch)
+        assert scores.dtype == np.float32 and reference.dtype == np.float64
+        np.testing.assert_allclose(scores, reference, rtol=0, atol=1e-5)
+        np.testing.assert_array_equal(rerank(scores, batch.mask), rerank(reference, batch.mask))
+        assert all(p.values.dtype == np.float64 for p in model.params.values())
 
 
 class TestGradcheck:
