@@ -469,26 +469,23 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return _make(out, tuple(tensors), vjp)
 
 
-def gather(table: Tensor, ids: Array, pad: bool = False) -> Tensor:
-    """Row lookup `table[ids]`; backward scatter-adds into the table rows.
+def gather(table: Tensor, ids: Array) -> Tensor:
+    """Row lookup with id 0 as padding; backward scatter-adds into the table rows.
 
-    With `pad`, id 0 stands for a constant zero row in front of the table:
-    id k reads `table[k - 1]`, and id 0 reads zeros and takes no gradient.
+    Id k reads `table[k - 1]`; id 0 reads a constant zero row in front of the
+    table, which takes no gradient.
     """
     ids = np.asarray(ids)
-    rows = table.shape[0] + int(pad)
+    rows = table.shape[0] + 1
     if ids.size and (ids.min() < 0 or ids.max() >= rows):
-        raise ContractError(f"gather ids out of range for table with {rows} rows")
-    if pad:
-        out = table.values[ids - 1]
-        out[ids == 0] = 0.0
-    else:
-        out = table.values[ids]
+        raise ContractError(f"gather ids out of range for a padded table of {rows} rows")
+    out = table.values[ids - 1]
+    out[ids == 0] = 0.0
 
     def vjp(g):
         gt = np.zeros((rows,) + table.shape[1:], dtype=g.dtype)
         np.add.at(gt, ids, g)
-        return (gt[int(pad):],)
+        return (gt[1:],)
 
     return _make(out, (table,), vjp)
 

@@ -4,7 +4,8 @@ Dataset paths are base paths: gen-data writes BASE.train.jsonl,
 BASE.test.jsonl, and BASE.catalog.json, and the other commands read them.
 All outputs are written atomically; any failure exits nonzero with a single
 `error: <Kind>: <message>` line on stderr. A floating-point overflow or
-invalid value inside a command is such a failure (`NumericError`), not a
+invalid value inside a command is such a failure (`NumericError`, naming the
+command, or the epoch and step for one inside a training step), not a
 warning.
 """
 
@@ -90,8 +91,7 @@ def cmd_rerank(args) -> int:
     validate_dataset(config, pages, catalog)
     layout = config.build_layout()
     batch = pages_to_batch(pages, catalog, layout, config.t)
-    perms = rerank(_score_pages(checkpoint.build_model(float32=True), batch),
-                   batch.mask).tolist()
+    perms = rerank(_score_pages(checkpoint.build_model(), batch), batch.mask).tolist()
 
     lines = []
     for page, page_perms in zip(pages, perms):
@@ -229,7 +229,7 @@ def main(argv=None) -> int:
             return args.func(args)
     except (ParError, FloatingPointError) as exc:
         if isinstance(exc, FloatingPointError):
-            exc = NumericError(str(exc))
+            exc = NumericError(f"{args.command}: {exc}")
         message = " ".join(str(exc).split())
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 1

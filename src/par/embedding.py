@@ -45,7 +45,7 @@ class EmbeddingTable:
             bad = ids[(ids < 0) | (ids >= self.vocab_size)]
             if bad.size:
                 raise DataError(f"id {int(bad.flat[0])} outside vocabulary of size {self.vocab_size}")
-        return ag.gather(self.weights, ids, pad=True)
+        return ag.gather(self.weights, ids)
 
 
 @dataclass

@@ -6,7 +6,7 @@ width, so output shapes never change across variants.
 
 The forward pass scores relevance; `predict` and reranking sort by it. The
 forward computes in its parameters' dtype: float64 for training, float32 for
-scoring pages (`float32_copy`, `float32_tensors`).
+scoring pages (`float32_copy`).
 Training fits the logged clicks as relevance times a per-slot examination
 probability (`exam.logit`, in every variant), so the position bias of the
 ranking the clicks were logged under goes into the examination table and
@@ -259,31 +259,16 @@ class ParModel:
     def predict(self, batch: PageBatch) -> np.ndarray:
         return self.forward(batch).values
 
-    @property
-    def dtype(self) -> np.dtype:
-        return self.exam_logit.values.dtype
-
     def float32_copy(self) -> "ParModel":
-        """The same model with float32 parameters, whose forward runs in float32."""
-        return ParModel(self.config, self.layout, self.seed,
-                        float32_tensors({name: p.values for name, p in self._params.items()}))
+        """The same model with float32 parameters, whose forward runs in float32.
 
-
-def float32_tensors(tensors: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Float32 copies of named tensors, cast into one buffer and checked at once.
-
-    Refuses, naming it, a tensor with a value beyond the float32 range (or an
-    infinite one), which the cast turns into an infinity.
-    """
-    cast = np.empty(sum(values.size for values in tensors.values()), dtype=np.float32)
-    out, start = {}, 0
-    with np.errstate(over="ignore"):  # an overflow leaves an infinity, refused below
-        for name, values in tensors.items():
-            out[name] = cast[start:start + values.size].reshape(values.shape)
-            out[name][...] = values
-            start += values.size
-    if np.isinf(cast).any():
-        name = next(name for name, values in out.items() if np.isinf(values).any())
-        raise ContractError(f"tensor '{name}' holds a value outside the float32 range "
-                            f"(|x| > {np.finfo(np.float32).max:.3g})")
-    return out
+        Refuses, naming it, a parameter with a value beyond the float32 range
+        (or an infinite one), which the cast would turn into an infinity.
+        """
+        with np.errstate(over="ignore"):  # an overflow leaves an infinity, refused below
+            tensors = {name: p.values.astype(np.float32) for name, p in self._params.items()}
+        if np.isinf(np.concatenate([values.ravel() for values in tensors.values()])).any():
+            name = next(name for name, values in tensors.items() if np.isinf(values).any())
+            raise ContractError(f"tensor '{name}' holds a value outside the float32 range "
+                                f"(|x| > {np.finfo(np.float32).max:.3g})")
+        return ParModel(self.config, self.layout, self.seed, tensors)

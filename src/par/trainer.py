@@ -24,7 +24,7 @@ from .data_oracle import (Catalog, ClickOracle, PageRecord, atomic_write, displa
 from .embedding import PageBatch
 from .errors import ConfigError, ContractError, DataError, NumericError
 from .metrics import MetricReport, compute_report
-from .model import ParModel, float32_tensors
+from .model import ParModel
 from .scoring import rerank
 
 log = logging.getLogger(__name__)
@@ -36,7 +36,12 @@ _SHUFFLE, _CLICKS, _GRADCHECK = 0x102, 0x103, 0x104
 
 
 def _rng(seed: int, tag: int, *extra: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, tag, *extra]))
+    words = [seed, tag, *extra]
+    if 0 <= min(words) and max(words) < 2**32:
+        # one uint32 word per value, as SeedSequence splits the list: the same
+        # stream, without the per-value int conversion (evaluate makes one per page)
+        words = np.array(words, dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(words))
 
 
 # -- checkpoints ----------------------------------------------------------------
@@ -104,10 +109,8 @@ class Checkpoint:
             raise ConfigError(f"cannot read checkpoint {path}: {exc.strerror}") from None
         return cls.from_bytes(blob)
 
-    def build_model(self, float32: bool = False) -> ParModel:
-        """The checkpoint's model; with `float32`, built straight in float32 for scoring."""
-        tensors = float32_tensors(self.tensors) if float32 else self.tensors
-        return ParModel(self.config, self.config.build_layout(), self.config.seed, tensors)
+    def build_model(self) -> ParModel:
+        return ParModel(self.config, self.config.build_layout(), self.config.seed, self.tensors)
 
 
 def _snapshot(model: ParModel, config: TrainConfig, epoch: int,
@@ -166,13 +169,15 @@ def train(config: TrainConfig, pages: list[PageRecord], catalog: Catalog) -> Che
             idx = order[start:start + config.batch_size]
             sub = data.select(idx)
             model.zero_grads()
-            loss, _ = model.loss(sub)
-            if not np.isfinite(loss.values):
-                raise NumericError(f"non-finite loss {float(loss.values)} at epoch "
-                                   f"{epoch + 1}, step {step}")
-            ag.backward(loss)
-            adam_step([model.params[k] for k in names],
-                      [model.params[k].grad for k in names], state)
+            try:  # numpy raises FloatingPointError too, under `par`'s np.errstate
+                loss, _ = model.loss(sub)
+                if not np.isfinite(loss.values):
+                    raise FloatingPointError(f"non-finite loss {float(loss.values)}")
+                ag.backward(loss)
+                adam_step([model.params[k] for k in names],
+                          [model.params[k].grad for k in names], state)
+            except FloatingPointError as exc:
+                raise NumericError(f"{exc} at epoch {epoch + 1}, step {step}") from None
             total += float(loss.values) * len(idx)
             weight += len(idx)
         loss_history.append(total / weight)
@@ -186,12 +191,11 @@ def train(config: TrainConfig, pages: list[PageRecord], catalog: Catalog) -> Che
 def _score_pages(model: ParModel, batch: PageBatch, chunk: int = 128) -> np.ndarray:
     """Float32 relevance scores of every page, `chunk` pages per forward pass.
 
-    Scoring runs on a float32 copy of the model, made once per call unless the
-    model is float32 already: ranking needs the order of the scores, not
-    their last bits, and float32 halves the forward's memory traffic.
-    Training stays float64 (see README).
+    Scoring runs on a float32 copy of the model, made once per call: ranking
+    needs the order of the scores, not their last bits, and float32 halves the
+    forward's memory traffic. Training stays float64 (see README).
     """
-    scorer = model if model.dtype == np.float32 else model.float32_copy()
+    scorer = model.float32_copy()
     scores = []
     with ag.no_grad():
         for start in range(0, batch.size, chunk):
@@ -217,7 +221,7 @@ def evaluate(checkpoint: Checkpoint, pages: list[PageRecord], catalog: Catalog,
     seed = config.eval_seed if eval_seed is None else eval_seed
     layout = config.build_layout()
     oracle = ClickOracle(catalog, layout, config.eta1, config.eta2)
-    model = checkpoint.build_model(float32=True)
+    model = checkpoint.build_model()
     batch = pages_to_batch(pages, catalog, layout, config.t)
     items, mask, rel = batch.items, batch.mask, displayed_grid(pages, layout, "rel")
     perms = rerank(_score_pages(model, batch), mask)

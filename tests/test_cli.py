@@ -396,7 +396,7 @@ class TestFloatingPointFaults:
         monkeypatch.setattr(cli, "evaluate", overflowing)
         code, lines = _run_lines("eval", checkpoint, data, tmp_path / "report")
         assert code == 1
-        assert lines == ["error: NumericError: overflow encountered in multiply"]
+        assert lines == ["error: NumericError: eval: overflow encountered in multiply"]
 
     def test_invalid_value_inside_a_command_is_one_error_line(self, workspace, checkpoint,
                                                               tmp_path, monkeypatch):
@@ -408,7 +408,22 @@ class TestFloatingPointFaults:
         monkeypatch.setattr(cli, "evaluate", invalid)
         code, lines = _run_lines("eval", checkpoint, data, tmp_path / "report")
         assert code == 1
-        assert lines == ["error: NumericError: invalid value encountered in subtract"]
+        assert lines == ["error: NumericError: eval: invalid value encountered in subtract"]
+
+    def test_diverging_training_names_its_epoch_and_step(self, workspace, tmp_path):
+        root, config, data = workspace
+        diverging = tmp_path / "diverging.cfg"
+        diverging.write_text(TINY_CONFIG.replace("learning_rate = 0.001", "learning_rate = 1e300"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(["train", "--config", str(diverging), "--data", str(data),
+                             "--out", str(tmp_path / "model.ckpt")])
+        lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: NumericError: "), lines
+        assert lines[0].endswith("at epoch 1, step 2"), lines
+        assert not (tmp_path / "model.ckpt").exists()
 
 
 class TestMalformedPages:

@@ -4,6 +4,14 @@ Generation and training run in float64 in a fixed operation order, so these
 files are byte-identical from run to run and across refactors that keep that
 order. A change that moves any of these hashes changes what the program
 computes; if that is intended, say so and record the new hashes.
+
+The hashes also depend on the BLAS behind NumPy: matrix products are BLAS
+calls, and the kernel (and with it the rounding) is chosen at run time for
+the CPU. They were recorded with NumPy 2.4.6 on OpenBLAS 0.3.31
+(DYNAMIC_ARCH) on a 2-vCPU Intel Xeon (x86-64). On another BLAS build or CPU
+family a moved hash, most likely the checkpoint's, does not by itself mean
+the program changed: re-record the hashes there at a known-good commit and
+compare against those.
 """
 
 import hashlib

@@ -261,6 +261,18 @@ class TestEvaluate:
             evaluate(ckpt, test_pages, catalog, relevance_source="bogus")
 
 
+class TestRngStreams:
+    @pytest.mark.parametrize("words", [(0, 1), (90210, 7, 1, 499), (2**32 - 1, 3, 0),
+                                       (2**32, 3, 5), (2**70, 1)])
+    def test_same_stream_as_the_seed_list(self, words):
+        expected = np.random.default_rng(np.random.SeedSequence(list(words))).random(8)
+        np.testing.assert_array_equal(trainer._rng(*words).random(8), expected)
+
+    def test_negative_seed_is_refused_like_the_seed_list(self):
+        with pytest.raises(ValueError):
+            trainer._rng(-1, 2)
+
+
 class TestScorePages:
     """`_score_pages`, which `evaluate` and `par rerank` rank by, scores in float32."""
 
@@ -276,6 +288,10 @@ class TestScorePages:
         np.testing.assert_allclose(scores, reference, rtol=0, atol=1e-5)
         np.testing.assert_array_equal(rerank(scores, batch.mask), rerank(reference, batch.mask))
         assert all(p.values.dtype == np.float64 for p in model.params.values())
+        # float32 sigmoid saturates to 1.0 from a logit of about 17; two such
+        # scores in one list would tie and keep the incoming order
+        saturated = (scores == 1.0) & (batch.mask > 0)
+        assert saturated.sum(axis=-1).max() <= 1
 
 
 class TestGradcheck:
