@@ -494,12 +494,10 @@ def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = x.values.sum(axis=axis, keepdims=keepdims)
     shape = x.shape
 
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        if not keepdims:
+    def vjp(g):  # a read-only view: no vjp writes into an incoming gradient
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).copy(),)
+        return (np.broadcast_to(g, shape),)
 
     return _make(out, (x,), vjp)
 

@@ -13,6 +13,21 @@ from .errors import ConfigError
 from .layout import PRESETS, PageLayout, fshape_preset, stacked_preset
 
 
+# Each model of the paper's ablation study and the components it removes:
+# dual-side attention (dsa), all of hierarchical dual-side attention (hdsa),
+# the distance scaling of spatial-scaled attention (scale), spatial-scaled
+# attention (ssa), the dense network (dn) and the MMoE scorer (mmoe).
+VARIANTS: dict[str, frozenset[str]] = {
+    "PAR": frozenset(),
+    "PAR-DSA": frozenset({"dsa"}),
+    "PAR-HDSA": frozenset({"hdsa"}),
+    "PAR-scale": frozenset({"scale"}),
+    "PAR-SSA": frozenset({"ssa"}),
+    "PAR-DN": frozenset({"dn"}),
+    "PAR-MMoE": frozenset({"mmoe"}),
+}
+
+
 @dataclass
 class TrainConfig:
     # optimization
@@ -44,13 +59,8 @@ class TrainConfig:
     tower_hidden: tuple[int, ...] = (80,)
     dense_hidden: tuple[int, ...] = (32,)
 
-    # ablation flags
-    dsa: bool = False
-    hdsa: bool = False
-    scale: bool = False
-    ssa: bool = False
-    dn: bool = False
-    mmoe: bool = False
+    # the paper's model, or one ablation of it (a key of VARIANTS)
+    variant: str = "PAR"
 
     # synthetic data
     train_pages: int = 2000
@@ -68,9 +78,6 @@ class TrainConfig:
     ranker_lr: float = 0.01
     eval_seed: int = 90210
     ablate_seeds: int = 5
-    theme_mix: float = 0.0          # 0 = isotropic items, ->1 = tight theme clusters
-    quality_weight_top: float = 1.0    # quality emphasis in the first list
-    quality_weight_bottom: float = 1.0  # and in the last list (linear in between)
 
     def __post_init__(self):
         positive = ["learning_rate", "batch_size", "n", "m", "t",
@@ -81,11 +88,11 @@ class TrainConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0.0 <= self.theme_mix < 1.0:
-            raise ConfigError(f"theme_mix must be in [0, 1), got {self.theme_mix}")
         for name in ["l2", "eta1", "eta2", "label_noise", "ranker_lr", "epochs"]:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"unknown variant '{self.variant}' (choose from {list(VARIANTS)})")
         if self.layout not in PRESETS:
             raise ConfigError(f"unknown layout '{self.layout}' (choose from {sorted(PRESETS)})")
         if not self.expert_hidden or not self.tower_hidden:
@@ -108,11 +115,7 @@ class TrainConfig:
         return self.themes + 1  # + padding category 0
 
     def variant_name(self) -> str:
-        parts = [label for flag, label in
-                 [("dsa", "DSA"), ("hdsa", "HDSA"), ("scale", "scale"),
-                  ("ssa", "SSA"), ("dn", "DN"), ("mmoe", "MMoE")]
-                 if getattr(self, flag)]
-        return "PAR" if not parts else "PAR-" + "+".join(parts)
+        return self.variant
 
     def build_layout(self) -> PageLayout:
         if self.layout == "stacked":
@@ -133,36 +136,13 @@ class TrainConfig:
         return out
 
 
-ABLATION_FLAGS = ("dsa", "hdsa", "scale", "ssa", "dn", "mmoe")
-
-VARIANTS: dict[str, dict[str, bool]] = {
-    "PAR": {},
-    "PAR-DSA": {"dsa": True},
-    "PAR-HDSA": {"hdsa": True},
-    "PAR-scale": {"scale": True},
-    "PAR-SSA": {"ssa": True},
-    "PAR-DN": {"dn": True},
-    "PAR-MMoE": {"mmoe": True},
-}
-
-
 def with_variant(config: TrainConfig, variant: str) -> TrainConfig:
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant '{variant}' (choose from {list(VARIANTS)})")
-    flags = {flag: False for flag in ABLATION_FLAGS}
-    flags.update(VARIANTS[variant])
-    return dataclasses.replace(config, **flags)
+    return dataclasses.replace(config, variant=variant)
 
 
 def _parse_value(key: str, raw: str, kind):
     raw = raw.strip()
     try:
-        if kind is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         if kind is int:
             return int(raw)
         if kind is float:

@@ -56,11 +56,10 @@ def atomic_write(path: str | Path, data: str | bytes) -> None:
 class Catalog:
     """Fixed item universe: theme membership, embeddings, quality factors.
 
-    An item's appeal to a user is latent-affinity plus a weighted mix of two
-    intrinsic quality factors; lists can weight the factors differently
-    (users reward different attributes in different page sections). Initial
-    rankers are fit to the affinity part only, so the quality factors are the
-    signal a reranker can recover from click feedback.
+    An item's appeal to a user is latent-affinity plus the sum of two
+    intrinsic quality factors, the same in every list. Initial rankers are
+    fit to the affinity part only, so the quality factors are the signal a
+    reranker can recover from click feedback.
     """
 
     themes: int
@@ -70,36 +69,25 @@ class Catalog:
     item_theme: np.ndarray  # (vocab,) int; 0 for the padding id
     true_emb: np.ndarray    # (vocab, true_dim); row 0 zero, others unit norm
     quality: np.ndarray     # (vocab, 2) float; row 0 zero
-    theme_mix: float = 0.0
 
     QUALITY_SCALE = 0.25    # matches the std of unit-vector affinities in 16d
 
     @classmethod
-    def build(cls, themes: int, items_per_theme: int, true_dim: int, seed: int,
-              theme_mix: float = 0.0) -> "Catalog":
+    def build(cls, themes: int, items_per_theme: int, true_dim: int, seed: int) -> "Catalog":
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xCA7A]))
         vocab = themes * items_per_theme + 1
         emb = rng.standard_normal((vocab, true_dim))
-        if theme_mix > 0.0:
-            centers = rng.standard_normal((themes + 1, true_dim))
-            centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-            theme_of = np.zeros(vocab, dtype=np.int64)
-            theme_of[1:] = np.arange(vocab - 1) // items_per_theme + 1
-            emb = theme_mix * centers[theme_of] + (1.0 - theme_mix) * emb
         emb /= np.linalg.norm(emb, axis=1, keepdims=True)
         emb[0] = 0.0
         quality = cls.QUALITY_SCALE * rng.standard_normal((vocab, 2))
         quality[0] = 0.0
         item_theme = np.zeros(vocab, dtype=np.int64)
         item_theme[1:] = np.arange(vocab - 1) // items_per_theme + 1
-        return cls(themes, items_per_theme, true_dim, seed, item_theme, emb, quality,
-                   theme_mix)
+        return cls(themes, items_per_theme, true_dim, seed, item_theme, emb, quality)
 
-    def appeal(self, latent: np.ndarray, items: np.ndarray,
-               quality_weights=(1.0, 1.0)) -> np.ndarray:
-        """User appeal of items: affinity plus the weighted quality factors."""
-        return (self.true_emb[items] @ latent
-                + self.quality[items] @ np.asarray(quality_weights, dtype=np.float64))
+    def appeal(self, latent: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """User appeal of items: affinity plus the quality factors."""
+        return self.true_emb[items] @ latent + self.quality[items].sum(-1)
 
     @property
     def vocab_size(self) -> int:
@@ -120,7 +108,6 @@ class Catalog:
             "item_theme": self.item_theme.tolist(),
             "true_emb": [[float(x) for x in row] for row in self.true_emb],
             "quality": [[float(x) for x in row] for row in self.quality],
-            "theme_mix": self.theme_mix,
         }
         return json.dumps(payload, sort_keys=True)
 
@@ -132,8 +119,7 @@ class Catalog:
                           _int(data["true_dim"]), _int(data["seed"]),
                           np.asarray(data["item_theme"], dtype=np.int64),
                           np.asarray(data["true_emb"], dtype=np.float64),
-                          np.asarray(data["quality"], dtype=np.float64),
-                          float(data.get("theme_mix", 0.0)))
+                          np.asarray(data["quality"], dtype=np.float64))
         except (ValueError, KeyError, TypeError) as exc:
             raise DataError(f"catalog line 1: {_reason(exc)}") from None
         vocab, dim = catalog.vocab_size, catalog.true_dim
@@ -196,32 +182,15 @@ class PageRecord:
     lists: list[ListRecord]
 
 
-def list_quality_weights(n: int, top: float, bottom: float) -> np.ndarray:
-    """(n, 2) quality-factor weights per list.
-
-    The first factor matters most in the first list and fades to `bottom` by
-    the last; the second factor mirrors it. With top == bottom every list
-    weighs both factors identically (no list-specific behavior).
-    """
-    if n == 1:
-        return np.array([[top, bottom]])
-    first = np.linspace(top, bottom, n)
-    return np.stack([first, first[::-1]], axis=1)
-
-
 def generate_page(catalog: Catalog, user: UserProfile, layout: PageLayout,
-                  pos_per_list: int, master_seed: int,
-                  quality_weights: np.ndarray | None = None) -> PageRecord:
+                  pos_per_list: int, master_seed: int) -> PageRecord:
     """One page for one user: n distinct themes, lists of layout lengths.
 
-    A list's relevant items are the user's top picks among the displayed
-    candidates; how much intrinsic quality sways the pick varies by list
-    position (users act differently deeper in the page).
+    A list's relevant items are the user's top picks by appeal among the
+    displayed candidates.
     """
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, 0x9A6E, user.user_id]))
     n = layout.n
-    if quality_weights is None:
-        quality_weights = np.ones((n, 2))
     chosen = list(rng.permutation(user.themes)[:n])
     if len(chosen) < n:
         others = [th for th in range(1, catalog.themes + 1) if th not in chosen]
@@ -238,7 +207,7 @@ def generate_page(catalog: Catalog, user: UserProfile, layout: PageLayout,
         # draw the displayed candidates first; the user's top picks among what
         # is shown are the relevant ones
         items = rng.choice(pool, size=length, replace=False)
-        appeal = catalog.appeal(user.latent, items, quality_weights=quality_weights[i])
+        appeal = catalog.appeal(user.latent, items)
         threshold = np.sort(appeal)[::-1][pos_per_list - 1]
         rel = (appeal >= threshold).astype(np.int64)
         if rel.sum() > pos_per_list:  # appeal ties, keep exactly pos_per_list
@@ -254,11 +223,9 @@ def generate_page(catalog: Catalog, user: UserProfile, layout: PageLayout,
 
 
 def generate_pages(catalog: Catalog, users: list[UserProfile], layout: PageLayout,
-                   pos_per_list: int, master_seed: int,
-                   quality_weights: np.ndarray | None = None) -> list[PageRecord]:
+                   pos_per_list: int, master_seed: int) -> list[PageRecord]:
     """One page per user, each drawn from its own (master_seed, user) stream."""
-    return [generate_page(catalog, u, layout, pos_per_list, master_seed, quality_weights)
-            for u in users]
+    return [generate_page(catalog, u, layout, pos_per_list, master_seed) for u in users]
 
 
 # -- initial rankers ----------------------------------------------------------
@@ -559,14 +526,11 @@ def build_dataset(config: TrainConfig) -> tuple[Catalog, list[PageRecord], list[
     """Generate catalog, train/test pages, initial rankings, and click labels."""
     layout = config.build_layout()
     seed = config.seed
-    catalog = Catalog.build(config.themes, config.items_per_theme, config.true_dim, seed,
-                            theme_mix=config.theme_mix)
+    catalog = Catalog.build(config.themes, config.items_per_theme, config.true_dim, seed)
     total = config.train_pages + config.test_pages
     users = [make_user(catalog, uid, config.user_themes, config.t, seed)
              for uid in range(1, total + 1)]
-    weights = list_quality_weights(layout.n, config.quality_weight_top,
-                                   config.quality_weight_bottom)
-    pages = generate_pages(catalog, users, layout, config.pos_per_list, seed, weights)
+    pages = generate_pages(catalog, users, layout, config.pos_per_list, seed)
     train, test = pages[:config.train_pages], pages[config.train_pages:]
 
     user_map = {u.user_id: u for u in users}

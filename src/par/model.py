@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .config import TrainConfig
+from .config import VARIANTS, TrainConfig
 from .embedding import (EmbeddingTable, PageBatch, embed_history, embed_page,
                         embedding_rows)
 from .errors import ConfigError, ContractError
@@ -63,7 +63,7 @@ class ParModel:
         self.distances = manhattan_distance_matrix(layout)
         self._params: dict[str, Tensor] = {}
         self._stored = stored
-        c = config
+        c, off = config, VARIANTS[config.variant]
 
         self.item_table = self._table("emb.item", c.vocab_size, c.d_x)
         self.category_table = self._table("emb.category", c.n_categories, c.d_x)
@@ -76,8 +76,8 @@ class ParModel:
 
         self.dual: DualSideParams | None = None
         self.agg: AggregationParams | None = None
-        if not c.hdsa:
-            if not c.dsa:
+        if "hdsa" not in off:
+            if "dsa" not in off:
                 self.dual = DualSideParams(
                     w_a=self._glorot("hds.w_a", (c.n, c.d_h, c.d_x)),
                     w_x=self._glorot("hds.w_x", (c.n, c.d_x, c.m)),
@@ -93,8 +93,8 @@ class ParModel:
             )
 
         self.ss: SSAttnParams | None = None
-        if not c.ssa:
-            steep = None if c.scale else self._zeros("ss.v", (c.heads,))
+        if "ssa" not in off:
+            steep = None if "scale" in off else self._zeros("ss.v", (c.heads,))
             self.ss = SSAttnParams(
                 w_q=self._glorot("ss.w_q", (c.heads, c.d_x, c.d_a)),
                 w_k=self._glorot("ss.w_k", (c.heads, c.d_x, c.d_a)),
@@ -105,13 +105,13 @@ class ParModel:
             )
 
         self.dense: Mlp | None = None
-        if not c.dn:
+        if "dn" not in off:
             self.dense = self._mlp("dense.w", "dense.b", (c.d_x,) + c.dense_hidden + (c.d_r,))
 
         d_z = c.d_l + c.d_r + c.d_o
         self.moe: MMoEParams | None = None
         self.head: Mlp | None = None
-        if not c.mmoe:
+        if "mmoe" not in off:
             self.moe = MMoEParams(
                 experts=self._mlp("moe.expert_w", "moe.expert_b", (d_z,) + c.expert_hidden,
                                   stack=(c.experts,)),
@@ -196,7 +196,7 @@ class ParModel:
 
     def forward(self, batch: PageBatch) -> Tensor:
         """Score every slot's relevance: (b, n, m) in (0, 1)."""
-        c = self.config
+        c, off = self.config, VARIANTS[self.config.variant]
         b, n, m = batch.items.shape
         if (n, m) != (c.n, c.m):
             raise ConfigError(f"batch shaped {n}x{m} but model built for {c.n}x{c.m}")
@@ -206,10 +206,10 @@ class ParModel:
         def zeros(*shape: int) -> Tensor:  # an ablated block, in the parameters' dtype
             return Tensor(np.zeros(shape, dtype=x_emb.values.dtype))
 
-        if c.hdsa:
+        if "hdsa" in off:
             page_vec = zeros(b, c.d_l)
         else:
-            if c.dsa:
+            if "dsa" in off:
                 x_t, h_t = candidate_self_attention(x_emb, batch.mask)
                 if c.d_h != c.d_x:
                     h_t = zeros(b, n, m, c.d_h)
@@ -220,21 +220,21 @@ class ParModel:
             pooled = item_level_aggregation(x_t, h_t, self.agg, batch.mask)
             page_vec = list_level_aggregation(list_level_self_attention(pooled), self.agg)
 
-        if c.ssa:
+        if "ssa" in off:
             influence = zeros(b, n, m, c.d_o)
         else:
             flat = ag.reshape(x_emb, (b, n * m, c.d_x))
             out = spatial_scaled_attention(flat, self.distances, self.ss,
                                            batch.mask.reshape(b, n * m),
-                                           distance_scaling=not c.scale)
+                                           distance_scaling="scale" not in off)
             influence = ag.reshape(out, (b, n, m, c.d_o))
 
-        if c.dn:
+        if "dn" in off:
             dense_feat = zeros(b, n, m, c.d_r)
         else:
             dense_feat = dense_network(x_emb, self.dense)
 
-        if c.mmoe:
+        if "mmoe" in off:
             return single_mlp_score(page_vec, dense_feat, influence, self.head)
         return mmoe_score(page_vec, dense_feat, influence, self.moe)
 

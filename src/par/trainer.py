@@ -82,7 +82,11 @@ class Checkpoint:
                                 f"{len(blob) - 12} present")
         try:
             header = json.loads(blob[12:offset].decode())
-            shapes = {meta["name"]: tuple(meta["shape"]) for meta in header["tensors"]}
+            shapes = {meta["name"]: meta["shape"] for meta in header["tensors"]}
+            if not all(isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
+                       for shape in shapes.values()):
+                raise ContractError("corrupt checkpoint header: a tensor shape is not a list "
+                                    "of non-negative ints")
             need = 8 * sum(math.prod(shape) for shape in shapes.values())
             checkpoint = cls(config=config_from_dict(header["config"]), epoch=header["epoch"],
                              loss_history=list(header["loss_history"]))

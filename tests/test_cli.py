@@ -20,6 +20,7 @@ from par import cli
 from par.cli import main
 from par.config import load_config, parse_config_text
 from par.errors import ConfigError
+from par.model import ParModel
 from par.trainer import Checkpoint
 
 TINY_CONFIG = """\
@@ -69,9 +70,12 @@ class TestConfigFile:
         assert config.expert_hidden == (16, 8)
         assert config.learning_rate == 0.001
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="not_a_key"):
-            parse_config_text("not_a_key = 3\n")
+    @pytest.mark.parametrize("line", ["not_a_key = 3", "dsa = true", "theme_mix = 0.5",
+                                      "quality_weight_top = 1.5"])
+    def test_unknown_key_rejected(self, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            parse_config_text(line + "\n")
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="epochs"):
@@ -84,6 +88,25 @@ class TestConfigFile:
     def test_comments_and_blanks_ignored(self):
         config = parse_config_text("# comment\n\nseed = 9\n")
         assert config.seed == 9
+
+    def test_variant_key_builds_that_model(self):
+        config = parse_config_text(TINY_CONFIG + "variant = PAR-SSA\n")
+        assert config.variant_name() == "PAR-SSA"
+        names = ParModel(config, config.build_layout(), config.seed).param_names()
+        assert "emb.item" in names
+        assert not any(name.startswith("ss.") for name in names)
+
+    def test_unknown_variant_single_line_error(self, workspace, tmp_path, capsys):
+        root, config, data = workspace
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG + "variant = PAR-XYZ\n")
+        capsys.readouterr()
+        assert main(["train", "--config", str(bad), "--data", str(data),
+                     "--out", str(tmp_path / "x.ckpt")]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ConfigError: unknown variant 'PAR-XYZ'"), err
+        assert "\n" not in err
+        assert not (tmp_path / "x.ckpt").exists()
 
 
 class TestGenData:
@@ -281,6 +304,21 @@ class TestErrorSurface:
         self._single_error_line(capsys, "ContractError", "'exam.logit'")
 
     @pytest.mark.parametrize("command", ["eval", "rerank"])
+    def test_checkpoint_with_removed_config_keys_single_line_error(
+            self, workspace, checkpoint, tmp_path, capsys, command):
+        root, config, data = workspace
+        removed = {"dsa": False, "hdsa": False, "scale": False, "ssa": False, "dn": False,
+                   "mmoe": False, "theme_mix": 0.0, "quality_weight_top": 1.0,
+                   "quality_weight_bottom": 1.0}
+        stale = tmp_path / "old.ckpt"
+        stale.write_bytes(_edit_header(checkpoint.read_bytes(),
+                                       lambda header: header["config"].update(removed)))
+        capsys.readouterr()
+        assert main([command, "--checkpoint", str(stale), "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 1
+        self._single_error_line(capsys, "ConfigError", f"unknown config keys: {sorted(removed)}")
+
+    @pytest.mark.parametrize("command", ["eval", "rerank"])
     def test_missing_checkpoint_single_line_error(self, workspace, tmp_path, capsys, command):
         root, config, data = workspace
         capsys.readouterr()
@@ -317,6 +355,16 @@ def _edit_last_test_page(base: Path, edit) -> int:
 
 def _flip(blob: bytes, offset: int, bit: int) -> bytes:
     return blob[:offset] + bytes([blob[offset] ^ (1 << bit)]) + blob[offset + 1:]
+
+
+def _edit_header(blob: bytes, edit, payload: bytes | None = None) -> bytes:
+    """Checkpoint `blob` with `edit` applied to its JSON header, and `payload` if given."""
+    (head_len,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + head_len])
+    edit(header)
+    head = json.dumps(header).encode()
+    rest = blob[12 + head_len:] if payload is None else payload
+    return blob[:8] + struct.pack("<I", len(head)) + head + rest
 
 
 def _emb_item_exponent_flip(blob: bytes) -> bytes:
@@ -383,6 +431,24 @@ class TestCheckpointFuzz:
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith("error: ContractError:"), lines
         assert "'emb.item'" in lines[0] and "float32" in lines[0]
+
+
+    @pytest.mark.parametrize("command", ["eval", "rerank"])
+    @pytest.mark.parametrize("shape, payload_bytes", [([-1, -1], 8), ([2.5], 20), (["4"], 32)],
+                             ids=["negative", "fractional", "string"])
+    def test_malformed_tensor_shape_is_one_error_line(self, workspace, checkpoint, tmp_path,
+                                                      command, shape, payload_bytes):
+        root, config, data = workspace
+
+        def one_tensor(header):
+            header["tensors"] = [{"name": "emb.item", "shape": shape}]
+
+        corrupt = tmp_path / "corrupt.ckpt"
+        corrupt.write_bytes(_edit_header(checkpoint.read_bytes(), one_tensor,
+                                         bytes(payload_bytes)))
+        code, lines = _run_lines(command, corrupt, data, tmp_path / "out")
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: ContractError:"), lines
 
 
 class TestFloatingPointFaults:

@@ -454,3 +454,10 @@ class TestSerialization:
                 # clicks imply relevance under the oracle
                 rel = lst.displayed_rel()
                 assert all(rel[k] == 1 for k, c in enumerate(lst.clicks) if c == 1)
+
+    def test_catalog_written_with_theme_mix_still_loads(self):
+        catalog = Catalog.build(3, 5, 4, seed=2)
+        data = json.loads(catalog.to_json())
+        data["theme_mix"] = 0.0
+        loaded = Catalog.from_json(json.dumps(data, sort_keys=True))
+        assert loaded.to_json() == catalog.to_json()

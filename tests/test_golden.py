@@ -12,9 +12,15 @@ the CPU. They were recorded with NumPy 2.4.6 on OpenBLAS 0.3.31
 family a moved hash, most likely the checkpoint's, does not by itself mean
 the program changed: re-record the hashes there at a known-good commit and
 compare against those.
+
+The checkpoint's header holds the config as key/value pairs, so renaming or
+deleting a config key moves the checkpoint's file hash. Its tensor payload,
+the bytes after the header, has a hash of its own, which only a change to
+the trained values moves.
 """
 
 import hashlib
+import struct
 
 import pytest
 
@@ -52,10 +58,12 @@ GOLDEN_SHA256 = {
     "pages.test.jsonl":
         "21dd95150854c8c24744a872fa08e9bb916304272a0777cf2d2bd4cc6d3c27b8",
     "pages.catalog.json":
-        "3c409c1e66d2631878c921401b5832be0996dbfc65661bfbf492f19bb60aaa3a",
+        "b91b8672a519e8e1fbe651fda8167e9906d8ac6ad496e7a55bac2e5304a48ae6",
     "model.ckpt":
-        "fb90e24089b09cbe2ce7f1a847dfd4d0a5bb03a37dc83703ce4e072131a5b9a5",
+        "77bb6a254b50ae87f1a7cea2457bf11d148f0db8774d8a0390049d0920f551bb",
 }
+
+GOLDEN_PAYLOAD_SHA256 = "c180b1ac870520d6d1827feaafa5c2450831f177b2f40bac342ed08e3407054b"
 
 
 @pytest.fixture(scope="module")
@@ -73,3 +81,9 @@ def outputs(tmp_path_factory):
 def test_file_bytes_match_golden_hash(outputs, name):
     digest = hashlib.sha256((outputs / name).read_bytes()).hexdigest()
     assert digest == GOLDEN_SHA256[name], name
+
+
+def test_checkpoint_payload_matches_golden_hash(outputs):
+    blob = (outputs / "model.ckpt").read_bytes()
+    (head_len,) = struct.unpack("<I", blob[8:12])
+    assert hashlib.sha256(blob[12 + head_len:]).hexdigest() == GOLDEN_PAYLOAD_SHA256
