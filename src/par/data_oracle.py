@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,20 @@ def atomic_write(path: str | Path, data: str | bytes) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
+# seed-stream tags of the world's draws
+_CATALOG, _USERS, _PAGES, _RANKERS, _LABELS = 0xCA7A, 0x05E4, 0x9A6E, 0x4A4E, 0xC11C
+
+
+def stream(seed: int, tag: int, *extra: int) -> np.random.Generator:
+    """The generator of one (seed, tag, *extra) stream: SeedSequence of those words."""
+    words = [seed, tag, *extra]
+    if 0 <= min(words) and max(words) < 2**32:
+        # one uint32 word per value, as SeedSequence splits the list: the same
+        # stream, without the per-value int conversion (a build makes thousands)
+        words = np.array(words, dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(words))
+
+
 # -- catalog and users --------------------------------------------------------
 
 
@@ -74,7 +89,7 @@ class Catalog:
 
     @classmethod
     def build(cls, themes: int, items_per_theme: int, true_dim: int, seed: int) -> "Catalog":
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xCA7A]))
+        rng = stream(seed, _CATALOG)
         vocab = themes * items_per_theme + 1
         emb = rng.standard_normal((vocab, true_dim))
         emb /= np.linalg.norm(emb, axis=1, keepdims=True)
@@ -86,18 +101,36 @@ class Catalog:
         return cls(themes, items_per_theme, true_dim, seed, item_theme, emb, quality)
 
     def appeal(self, latent: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """User appeal of items: affinity plus the quality factors."""
-        return self.true_emb[items] @ latent + self.quality[items].sum(-1)
+        """User appeal of (..., k) items: affinity plus the quality factors.
+
+        `latent` is (..., true_dim), its leading axes broadcast against the
+        items' leading axes.
+        """
+        affinity = (self.true_emb[items] @ latent[..., None])[..., 0]
+        return affinity + self.quality_total[items]
+
+    @cached_property
+    def quality_total(self) -> np.ndarray:
+        """(vocab,) sum of each item's two quality factors."""
+        return self.quality.sum(-1)
 
     @property
     def vocab_size(self) -> int:
         return self.themes * self.items_per_theme + 1
 
-    def theme_pool(self, theme: int) -> np.ndarray:
-        if not 1 <= theme <= self.themes:
-            raise DataError(f"theme {theme} outside 1..{self.themes}")
-        start = (theme - 1) * self.items_per_theme + 1
-        return np.arange(start, start + self.items_per_theme, dtype=np.int64)
+    @cached_property
+    def pools(self) -> np.ndarray:
+        """(themes, items_per_theme) item ids: row k is theme k+1's pool, in id order."""
+        pools = np.arange(1, self.vocab_size).reshape(self.themes, self.items_per_theme)
+        pools.flags.writeable = False  # theme_pool of one theme returns a view of a row
+        return pools
+
+    def theme_pool(self, themes) -> np.ndarray:
+        """Item ids of theme pools: (..., items_per_theme) for (...) theme ids."""
+        index = np.asarray(themes) - 1
+        if index.min() < 0 or index.max() >= self.themes:
+            raise DataError(f"theme {themes} outside 1..{self.themes}")
+        return self.pools[index]
 
     def to_json(self) -> str:
         payload = {
@@ -138,25 +171,29 @@ class UserProfile:
     history: np.ndarray         # (t,) item ids, most recent first
 
 
+TOP_K = 5  # a user's history items come from their top-5 items of a theme
+APPEAL_CHUNK = 512  # pages per embedding gather in generate_pages
+
+
 def make_user(catalog: Catalog, user_id: int, user_themes: int, t: int,
               master_seed: int) -> UserProfile:
-    """Build one user from a seed derived from (master_seed, user_id)."""
-    rng = np.random.default_rng(np.random.SeedSequence([master_seed, 0x05E4, user_id]))
+    """Build one user from its (master_seed, user_id) stream.
+
+    History slot s picks a theme of the user's, then one of that theme's
+    `TOP_K` items the user finds most appealing: two draws per slot, all
+    2t of them in one call.
+    """
+    rng = stream(master_seed, _USERS, user_id)
     latent = rng.standard_normal(catalog.true_dim)
     latent /= np.linalg.norm(latent)
-    themes = rng.choice(np.arange(1, catalog.themes + 1),
-                        size=min(user_themes, catalog.themes), replace=False)
-    # history draws lean on the user's top preferences within random themes
-    top_k = 5
-    tops = []
-    for theme in themes:
-        pool = catalog.theme_pool(int(theme))
-        tops.append(pool[np.argsort(-catalog.appeal(latent, pool), kind="stable")[:top_k]])
-    history = np.empty(t, dtype=np.int64)
-    for s in range(t):
-        top = tops[rng.integers(len(tops))]
-        history[s] = top[rng.integers(len(top))]
-    return UserProfile(user_id, latent, themes, history)
+    themes = rng.choice(catalog.themes, size=min(user_themes, catalog.themes), replace=False) + 1
+    pools = catalog.theme_pool(themes)
+    order = np.argsort(-catalog.appeal(latent, pools), axis=1, kind="stable")[:, :TOP_K]
+    tops = np.take_along_axis(pools, order, axis=1)
+    # one call with an array of bounds draws what 2t scalar calls draw (pinned in
+    # tests/test_data_oracle.py), so the stream is the per-slot loop's
+    picks = rng.integers([len(themes), tops.shape[1]] * t).reshape(t, 2)
+    return UserProfile(user_id, latent, themes, tops[picks[:, 0], picks[:, 1]])
 
 
 # -- page records -------------------------------------------------------------
@@ -184,48 +221,60 @@ class PageRecord:
 
 def generate_page(catalog: Catalog, user: UserProfile, layout: PageLayout,
                   pos_per_list: int, master_seed: int) -> PageRecord:
-    """One page for one user: n distinct themes, lists of layout lengths.
-
-    A list's relevant items are the user's top picks by appeal among the
-    displayed candidates.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([master_seed, 0x9A6E, user.user_id]))
-    n = layout.n
-    chosen = list(rng.permutation(user.themes)[:n])
-    if len(chosen) < n:
-        others = [th for th in range(1, catalog.themes + 1) if th not in chosen]
-        chosen += list(rng.permutation(others)[:n - len(chosen)])
-    if len(chosen) < n:
-        raise DataError(f"catalog has {catalog.themes} themes, page needs {n}")
-
-    lists = []
-    for i, theme in enumerate(chosen):
-        length = layout.lengths[i]
-        pool = catalog.theme_pool(int(theme))
-        if len(pool) < length:
-            raise DataError(f"theme {theme} pool has {len(pool)} items, list needs {length}")
-        # draw the displayed candidates first; the user's top picks among what
-        # is shown are the relevant ones
-        items = rng.choice(pool, size=length, replace=False)
-        appeal = catalog.appeal(user.latent, items)
-        threshold = np.sort(appeal)[::-1][pos_per_list - 1]
-        rel = (appeal >= threshold).astype(np.int64)
-        if rel.sum() > pos_per_list:  # appeal ties, keep exactly pos_per_list
-            extra = np.where(appeal == threshold)[0]
-            rel[extra[rel.sum() - pos_per_list:]] = 0
-        lists.append(ListRecord(
-            theme=int(theme),
-            items=[int(x) for x in items],
-            rel=[int(x) for x in rel],
-            init_order=list(range(length)),
-        ))
-    return PageRecord(user.user_id, [int(x) for x in user.history], lists)
+    """One page for one user: `generate_pages` of that user alone."""
+    return generate_pages(catalog, [user], layout, pos_per_list, master_seed)[0]
 
 
 def generate_pages(catalog: Catalog, users: list[UserProfile], layout: PageLayout,
                    pos_per_list: int, master_seed: int) -> list[PageRecord]:
-    """One page per user, each drawn from its own (master_seed, user) stream."""
-    return [generate_page(catalog, u, layout, pos_per_list, master_seed) for u in users]
+    """One page per user: n distinct themes, lists of layout lengths.
+
+    Each page draws from its own (master_seed, user) stream: a permutation
+    of the user's themes (topped up from the other themes when the user has
+    fewer than n), then each list's displayed candidates from its theme's
+    pool. A list's relevant items are the user's top `pos_per_list` picks by
+    appeal among those candidates, ties to the earlier-drawn item; they are
+    found in one pass over all pages.
+    """
+    n, lengths = layout.n, layout.lengths
+    if pos_per_list > min(lengths):
+        raise ConfigError(f"pos_per_list {pos_per_list} exceeds the shortest list's "
+                          f"{min(lengths)} items")
+    if catalog.themes < n:
+        raise DataError(f"catalog has {catalog.themes} themes, page needs {n}")
+    size = catalog.items_per_theme
+    if size < max(lengths):
+        raise DataError(f"theme pools have {size} items, a list needs {max(lengths)}")
+
+    count = len(users)
+    latents = np.empty((count, catalog.true_dim))
+    themes = np.empty((count, n), dtype=np.int64)
+    picks = np.zeros((count, n, layout.m), dtype=np.int64)  # pool offsets, generated order
+    for p, user in enumerate(users):
+        latents[p] = user.latent
+        rng = stream(master_seed, _PAGES, user.user_id)
+        chosen = rng.permutation(user.themes)[:n]
+        if len(chosen) < n:
+            others = np.setdiff1d(np.arange(1, catalog.themes + 1), chosen)
+            chosen = np.concatenate([chosen, rng.permutation(others)[:n - len(chosen)]])
+        themes[p] = chosen
+        for i, length in enumerate(lengths):
+            picks[p, i, :length] = rng.choice(size, size=length, replace=False)
+
+    real = slot_mask(layout, 1)[0] > 0
+    items = np.where(real, catalog.pools[themes[..., None] - 1, picks], 0)
+    rel = np.zeros(items.shape, dtype=np.int64)
+    for start in range(0, count, APPEAL_CHUNK):
+        chunk = slice(start, start + APPEAL_CHUNK)
+        appeal = catalog.appeal(latents[chunk, None, :], items[chunk])
+        top = np.argsort(np.where(real, -appeal, np.inf), axis=-1, kind="stable")
+        np.put_along_axis(rel[chunk], top[..., :pos_per_list], 1, axis=-1)
+
+    theme_rows, item_rows, rel_rows = themes.tolist(), items.tolist(), rel.tolist()
+    return [PageRecord(user.user_id, user.history.tolist(), [
+        ListRecord(theme=theme_rows[p][i], items=item_rows[p][i][:length],
+                   rel=rel_rows[p][i][:length], init_order=list(range(length)))
+        for i, length in enumerate(lengths)]) for p, user in enumerate(users)]
 
 
 # -- initial rankers ----------------------------------------------------------
@@ -267,15 +316,28 @@ class InitialRanker:
                 adam_step(self.params, [p.grad for p in self.params], state)
 
 
-def train_initial_rankers(pages: list[PageRecord], users: dict[int, UserProfile],
-                          catalog: Catalog, config: TrainConfig,
-                          master_seed: int) -> list[InitialRanker]:
-    """One pointwise ranker per list position, fit to noisy affinity targets."""
-    rankers = []
-    d = catalog.true_dim
+def _ranker_features(pages: list[PageRecord], users: dict[int, UserProfile],
+                    catalog: Catalog) -> list[np.ndarray]:
+    """[user latent, item true embedding] rows of each list: (pages, items, 2*true_dim)."""
+    latents = np.stack([users[page.user_id].latent for page in pages])[:, None, :]
+    features = []
     for i in range(len(pages[0].lists) if pages else 0):
-        rng = np.random.default_rng(np.random.SeedSequence([master_seed, 0x4A4E, i]))
-        feats = _ranker_features(pages, i, users, catalog).reshape(-1, 2 * d)
+        emb = catalog.true_emb[np.array([page.lists[i].items for page in pages])]
+        features.append(np.concatenate([np.broadcast_to(latents, emb.shape), emb], axis=-1))
+    return features
+
+
+def train_initial_rankers(features: list[np.ndarray], config: TrainConfig,
+                          master_seed: int) -> list[InitialRanker]:
+    """One pointwise ranker per list position, fit to noisy affinity targets.
+
+    `features` holds each list's `_ranker_features` of the training pages.
+    """
+    rankers = []
+    d = config.true_dim
+    for i, list_features in enumerate(features):
+        rng = stream(master_seed, _RANKERS, i)
+        feats = list_features.reshape(-1, 2 * d)
         affinity = (feats[:, None, :d] @ feats[:, d:, None])[:, 0, 0]
         targets = affinity + config.label_noise * rng.standard_normal(len(feats))
         ranker = InitialRanker(2 * d, config.ranker_hidden, rng)
@@ -284,25 +346,17 @@ def train_initial_rankers(pages: list[PageRecord], users: dict[int, UserProfile]
     return rankers
 
 
-def _ranker_features(pages: list[PageRecord], i: int, users: dict[int, UserProfile],
-                     catalog: Catalog) -> np.ndarray:
-    """[user latent, item true embedding] rows of list i: (pages, items, 2*true_dim)."""
-    latents = np.stack([users[page.user_id].latent for page in pages])[:, None, :]
-    emb = catalog.true_emb[np.array([page.lists[i].items for page in pages])]
-    return np.concatenate([np.broadcast_to(latents, emb.shape), emb], axis=-1)
-
-
 def initial_rank(pages: list[PageRecord], rankers: list[InitialRanker],
-                 users: dict[int, UserProfile], catalog: Catalog) -> None:
+                 features: list[np.ndarray]) -> None:
     """Set every list's display order to its ranker's descending scores.
 
-    Each ranker scores its list position on all pages in one batch.
+    Each ranker scores its list position on all pages, from that list's
+    `_ranker_features`, in one batch.
     """
-    for i, ranker in enumerate(rankers):
-        feats = _ranker_features(pages, i, users, catalog)
-        orders = np.argsort(-ranker.scores(feats), axis=1, kind="stable")
+    for i, (ranker, list_features) in enumerate(zip(rankers, features)):
+        orders = np.argsort(-ranker.scores(list_features), axis=1, kind="stable").tolist()
         for page, order in zip(pages, orders):
-            page.lists[i].init_order = [int(k) for k in order]
+            page.lists[i].init_order = order
 
 
 # -- oracle click model --------------------------------------------------------
@@ -390,19 +444,22 @@ class ClickOracle:
 def label_pages(pages: list[PageRecord], oracle: ClickOracle, master_seed: int) -> None:
     """Fill oracle probabilities and sampled clicks for the displayed order.
 
-    One oracle call scores every page; each page draws its clicks from its own
-    (master_seed, page index) stream.
+    One oracle call scores every page; each page draws the uniforms of its
+    clicks from its own (master_seed, page index) stream, and one comparison
+    turns them all into clicks.
     """
     layout = oracle.layout
     probs = oracle.click_prob(*page_grids(pages, layout))
-    for idx, (page, page_probs) in enumerate(zip(pages, probs)):
-        rng = np.random.default_rng(np.random.SeedSequence([master_seed, 0xC11C, idx]))
-        prob_rows = page_probs.tolist()
-        click_rows = oracle.sample_clicks(page_probs, rng).tolist()
+    uniforms = np.empty(probs.shape)
+    for idx in range(len(pages)):
+        uniforms[idx] = stream(master_seed, _LABELS, idx).random(probs.shape[1:])
+    prob_rows = probs.tolist()
+    click_rows = (uniforms < probs).astype(np.int64).tolist()
+    for page, page_probs, page_clicks in zip(pages, prob_rows, click_rows):
         for i, lst in enumerate(page.lists):
             length = layout.lengths[i]
-            lst.probs = prob_rows[i][:length]
-            lst.clicks = click_rows[i][:length]
+            lst.probs = page_probs[i][:length]
+            lst.clicks = page_clicks[i][:length]
 
 
 def page_grids(pages: list[PageRecord], layout: PageLayout
@@ -437,22 +494,22 @@ def slot_mask(layout: PageLayout, count: int) -> np.ndarray:
 
 
 def pages_to_jsonl(pages: list[PageRecord]) -> str:
-    lines = []
-    for page in pages:
-        payload = {
-            "user": page.user_id,
-            "history": page.history,
-            "lists": [{
-                "theme": lst.theme,
-                "items": lst.items,
-                "rel": lst.rel,
-                "init_order": lst.init_order,
-                "clicks": lst.clicks,
-                "probs": lst.probs,
-            } for lst in page.lists],
-        }
-        lines.append(json.dumps(payload, sort_keys=True))
-    return "\n".join(lines) + "\n"
+    """One JSON object per page, keys sorted.
+
+    The keys are written in sorted order, so the encoder need not sort them.
+    """
+    return "\n".join(json.dumps({
+        "history": page.history,
+        "lists": [{
+            "clicks": lst.clicks,
+            "init_order": lst.init_order,
+            "items": lst.items,
+            "probs": lst.probs,
+            "rel": lst.rel,
+            "theme": lst.theme,
+        } for lst in page.lists],
+        "user": page.user_id,
+    }) for page in pages) + "\n"
 
 
 def _int(value) -> int:
@@ -462,7 +519,7 @@ def _int(value) -> int:
 
 
 def _list(value, kinds: frozenset = frozenset({int})) -> list:
-    if type(value) is not list or not set(map(type, value)) <= kinds:
+    if type(value) is not list or not kinds.issuperset(map(type, value)):
         raise TypeError(f"expected a list of {'/'.join(sorted(k.__name__ for k in kinds))}, "
                         f"got {value!r:.60}")
     return value
@@ -533,9 +590,10 @@ def build_dataset(config: TrainConfig) -> tuple[Catalog, list[PageRecord], list[
     pages = generate_pages(catalog, users, layout, config.pos_per_list, seed)
     train, test = pages[:config.train_pages], pages[config.train_pages:]
 
-    user_map = {u.user_id: u for u in users}
-    rankers = train_initial_rankers(train, user_map, catalog, config, seed)
-    initial_rank(pages, rankers, user_map, catalog)
+    # every list's ranker features are built once; the train split is their prefix
+    features = _ranker_features(pages, {u.user_id: u for u in users}, catalog)
+    rankers = train_initial_rankers([f[:len(train)] for f in features], config, seed)
+    initial_rank(pages, rankers, features)
 
     oracle = ClickOracle(catalog, layout, config.eta1, config.eta2)
     label_pages(train, oracle, seed)

@@ -21,6 +21,7 @@ from .autograd import AdamState, GradCheckReport, adam_step, finite_diff_check
 from .config import TrainConfig, config_from_dict
 from .data_oracle import (Catalog, ClickOracle, PageRecord, atomic_write, displayed_grid,
                           pages_to_batch)
+from .data_oracle import stream as _rng
 from .embedding import PageBatch
 from .errors import ConfigError, ContractError, DataError, NumericError
 from .metrics import MetricReport, compute_report
@@ -33,15 +34,6 @@ CHECKPOINT_MAGIC = b"PARCKPT1"
 
 # seed-stream tags
 _SHUFFLE, _CLICKS, _GRADCHECK = 0x102, 0x103, 0x104
-
-
-def _rng(seed: int, tag: int, *extra: int) -> np.random.Generator:
-    words = [seed, tag, *extra]
-    if 0 <= min(words) and max(words) < 2**32:
-        # one uint32 word per value, as SeedSequence splits the list: the same
-        # stream, without the per-value int conversion (evaluate makes one per page)
-        words = np.array(words, dtype=np.uint32)
-    return np.random.default_rng(np.random.SeedSequence(words))
 
 
 # -- checkpoints ----------------------------------------------------------------
@@ -126,6 +118,9 @@ def _snapshot(model: ParModel, config: TrainConfig, epoch: int,
 # -- training --------------------------------------------------------------------
 
 
+_BINARY = frozenset({0, 1})
+
+
 def validate_dataset(config: TrainConfig, pages: list[PageRecord], catalog: Catalog) -> None:
     """Check every page against the config's layout and the catalog."""
     layout = config.build_layout()
@@ -151,6 +146,9 @@ def validate_dataset(config: TrainConfig, pages: list[PageRecord], catalog: Cata
                     or sorted(lst.init_order) != list(range(length))):
                 raise DataError(f"page {k} list {i}: rel, clicks and init_order must cover "
                                 f"its {length} items")
+            if not (_BINARY.issuperset(lst.rel) and _BINARY.issuperset(lst.clicks)):
+                raise DataError(f"page {k} list {i}: rel and clicks must be 0 or 1, got "
+                                f"rel {lst.rel!r:.60}, clicks {lst.clicks!r:.60}")
             if not 1 <= min(lst.items) <= max(lst.items) < vocab:
                 raise DataError(f"page {k} list {i} holds item ids outside 1..{vocab - 1}")
 

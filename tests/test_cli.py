@@ -281,6 +281,18 @@ class TestErrorSurface:
                      "--out", str(tmp_path / "nodir" / "base")]) == 1
         self._single_error_line(capsys, "ConfigError", str(tmp_path / "nodir"))
 
+    def test_pos_per_list_above_the_shortest_list_single_line_error(self, tmp_path, capsys):
+        config = tmp_path / "fshape.cfg"
+        config.write_text(TINY_CONFIG.replace("n = 2\nm = 4\n", "n = 5\nm = 10\n")
+                          .replace("\nthemes = 4\n", "\nthemes = 6\n")
+                          .replace("pos_per_list = 2", "pos_per_list = 5")
+                          + "layout = fshape\nv_len = 4\nh_len = 10\n")
+        capsys.readouterr()
+        assert main(["gen-data", "--config", str(config), "--out", str(tmp_path / "base")]) == 1
+        self._single_error_line(capsys, "ConfigError",
+                                "pos_per_list 5 exceeds the shortest list's 4 items")
+        assert not list(tmp_path.glob("base.*"))
+
     def test_unwritable_checkpoint_single_line_error(self, workspace, tmp_path, capsys):
         root, config, data = workspace
         out = tmp_path / "nodir" / "x.ckpt"
@@ -516,6 +528,33 @@ class TestMalformedPages:
         assert code == 1
         assert err.count("\n") == 1 and err.startswith("error: DataError:"), err
         assert f"page {line - 1} list 0 holds item ids outside" in err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("field, value", [("clicks", 7), ("rel", -3)])
+    def test_label_outside_zero_one(self, workspace, checkpoint, tmp_path, command, field,
+                                    value):
+        root, config, data = workspace
+        base = _copy_dataset(data, tmp_path)
+        split = base.with_name(f"pages.{'train' if command == 'train' else 'test'}.jsonl")
+        lines = split.read_text().splitlines()
+        page = json.loads(lines[3])
+        page["lists"][1][field][2] = value
+        lines[3] = json.dumps(page)
+        split.write_text("\n".join(lines) + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            if command == "train":
+                code = main(["train", "--config", str(config), "--data", str(base),
+                             "--out", str(tmp_path / "x.ckpt")])
+            else:
+                code = main(["eval", "--checkpoint", str(checkpoint), "--data", str(base),
+                             "--out", str(tmp_path / "report")])
+        err = err.getvalue()
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: DataError:"), err
+        assert "page 3 list 1: rel and clicks must be 0 or 1" in err, err
+        assert f"{value}" in err
+        assert not (tmp_path / "x.ckpt").exists()
 
     @settings(max_examples=12, deadline=None)
     @given(st.data())

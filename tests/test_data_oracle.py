@@ -1,5 +1,6 @@
 """Synthetic page construction and the oracle click model."""
 
+import copy
 import json
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 
 from par.autograd import Tensor
 from par.config import TrainConfig
-from par.data_oracle import (Catalog, ClickOracle, InitialRanker, build_dataset,
-                             generate_page, generate_pages, label_pages, load_catalog,
-                             load_pages, make_user, page_grids, pages_from_jsonl,
-                             pages_to_batch, pages_to_jsonl, write_catalog, write_pages)
+from par.data_oracle import (Catalog, ClickOracle, InitialRanker, ListRecord, PageRecord,
+                             build_dataset, generate_page, generate_pages, label_pages,
+                             load_catalog, load_pages, make_user, page_grids,
+                             pages_from_jsonl, pages_to_batch, pages_to_jsonl, write_catalog,
+                             write_pages)
 from par.errors import DataError
 from par.layout import fshape_preset, manhattan_distance_matrix, stacked_preset
 from par.scoring import mlp
@@ -40,6 +42,43 @@ def reference_make_user(catalog, user_id, user_themes, t, master_seed):
         top = pool[np.argsort(-appeal, kind="stable")[:5]]
         history[s] = rng.choice(top)
     return latent, themes, history
+
+
+def reference_generate_page(catalog, user, layout, pos_per_list, master_seed):
+    """generate_page as a per-list loop: the reference for the batched version."""
+    rng = np.random.default_rng(np.random.SeedSequence([master_seed, 0x9A6E, user.user_id]))
+    n = layout.n
+    chosen = list(rng.permutation(user.themes)[:n])
+    if len(chosen) < n:
+        others = [th for th in range(1, catalog.themes + 1) if th not in chosen]
+        chosen += list(rng.permutation(others)[:n - len(chosen)])
+    lists = []
+    for i, theme in enumerate(chosen):
+        length = layout.lengths[i]
+        pool = catalog.theme_pool(int(theme))
+        items = rng.choice(pool, size=length, replace=False)
+        appeal = catalog.appeal(user.latent, items)
+        threshold = np.sort(appeal)[::-1][pos_per_list - 1]
+        rel = (appeal >= threshold).astype(np.int64)
+        if rel.sum() > pos_per_list:  # appeal ties, keep exactly pos_per_list
+            extra = np.where(appeal == threshold)[0]
+            rel[extra[rel.sum() - pos_per_list:]] = 0
+        lists.append(ListRecord(theme=int(theme), items=[int(x) for x in items],
+                                rel=[int(x) for x in rel], init_order=list(range(length))))
+    return PageRecord(user.user_id, [int(x) for x in user.history], lists)
+
+
+def reference_label_pages(pages, oracle, master_seed):
+    """label_pages with a per-page draw and comparison: the batched version's reference."""
+    layout = oracle.layout
+    probs = oracle.click_prob(*page_grids(pages, layout))
+    for idx, (page, page_probs) in enumerate(zip(pages, probs)):
+        rng = np.random.default_rng(np.random.SeedSequence([master_seed, 0xC11C, idx]))
+        clicks = oracle.sample_clicks(page_probs, rng)
+        for i, lst in enumerate(page.lists):
+            length = layout.lengths[i]
+            lst.probs = [float(x) for x in page_probs[i][:length]]
+            lst.clicks = [int(x) for x in clicks[i][:length]]
 
 
 def reference_click_prob(catalog, layout, eta1, eta2, items, rel, mask):
@@ -153,6 +192,79 @@ class TestPageGeneration:
             np.testing.assert_array_equal(user.latent, latent)
             np.testing.assert_array_equal(user.themes, themes)
             np.testing.assert_array_equal(user.history, history)
+
+
+class TestDrawsInOrder:
+    """The batched world makes each stream's draws of the per-list/per-page loops."""
+
+    LAYOUTS = {"stacked": dict(n=3, m=5),
+               "fshape": dict(layout="fshape", v_len=3, h_count=2, h_len=5, n=3, m=5)}
+
+    @staticmethod
+    def world(layout, seed):
+        config = small_config(items_per_theme=9, user_themes=2, **TestDrawsInOrder.LAYOUTS[layout])
+        cat = Catalog.build(config.themes, config.items_per_theme, config.true_dim, seed)
+        users = [make_user(cat, uid, config.user_themes, config.t, seed) for uid in range(1, 31)]
+        return config, cat, users
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("seed", [0, 6, 7919])
+    def test_generate_pages_equals_per_list_loop(self, layout, seed):
+        config, cat, users = self.world(layout, seed)
+        lay = config.build_layout()
+        assert lay.n > config.user_themes  # every page tops its themes up from the others
+        pages = generate_pages(cat, users, lay, config.pos_per_list, seed)
+        assert pages == [reference_generate_page(cat, u, lay, config.pos_per_list, seed)
+                         for u in users]
+        assert generate_page(cat, users[4], lay, config.pos_per_list, seed) == pages[4]
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("seed", [0, 6, 7919])
+    def test_label_pages_equals_per_page_loop(self, layout, seed):
+        config, cat, users = self.world(layout, seed)
+        lay = config.build_layout()
+        oracle = ClickOracle(cat, lay, config.eta1, config.eta2)
+        pages = generate_pages(cat, users, lay, config.pos_per_list, seed)
+        rng = np.random.default_rng(seed)
+        for page in pages:  # a mix of ranked and generated orders
+            for lst in page.lists:
+                lst.init_order = rng.permutation(len(lst.items)).tolist()
+        expected = copy.deepcopy(pages)
+        label_pages(pages, oracle, seed)
+        reference_label_pages(expected, oracle, seed)
+        assert pages == expected
+        assert any(c for page in pages for lst in page.lists for c in lst.clicks)
+
+    def test_relevant_ties_go_to_the_earlier_drawn_item(self):
+        cat = Catalog.build(2, 6, 4, seed=1)
+        cat.true_emb[1:] = cat.true_emb[1]  # every item equally appealing
+        cat.quality[1:] = 0.0
+        user = make_user(cat, 1, 2, 3, 1)
+        page = generate_page(cat, user, stacked_preset(2, 4), 2, 1)
+        for lst in page.lists:
+            assert lst.rel == [1, 1, 0, 0]
+
+    @pytest.mark.parametrize("high", [(5, 5), (3, 5), (8, 5), (1, 5), (2**31, 5), (2, 1)])
+    def test_array_high_integers_equal_scalar_calls(self, high):
+        """make_user draws its 2t history picks in one call of the scalar calls' values.
+
+        If a NumPy release breaks this, generated histories change: fail here first.
+        """
+        t = 7
+        for seed in range(100):
+            one, many = np.random.default_rng(seed), np.random.default_rng(seed)
+            batched = one.integers(list(high) * t)
+            scalar = [many.integers(h) for _ in range(t) for h in high]
+            assert batched.tolist() == scalar, seed
+            assert one.random() == many.random(), seed
+
+    def test_choice_of_a_count_equals_choice_of_a_range(self):
+        """Pages and users draw pool offsets (choice of a count) where the loops drew ids."""
+        for seed in range(50):
+            one, many = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert (one.choice(50, size=10, replace=False) + 101).tolist() == \
+                many.choice(np.arange(101, 151), size=10, replace=False).tolist(), seed
+            assert one.random() == many.random(), seed
 
 
 class TestInitialRanking:

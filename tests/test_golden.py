@@ -1,4 +1,5 @@
-"""Golden bytes: a tiny config's generated dataset and trained checkpoint.
+"""Golden bytes: a tiny config's generated dataset and trained checkpoint, and the
+desk config's generated dataset.
 
 Generation and training run in float64 in a fixed operation order, so these
 files are byte-identical from run to run and across refactors that keep that
@@ -21,10 +22,13 @@ the trained values moves.
 
 import hashlib
 import struct
+from pathlib import Path
 
 import pytest
 
 from par.cli import main
+from par.config import load_config
+from par.data_oracle import build_dataset, pages_to_jsonl
 
 GOLDEN_CONFIG = """\
 n = 2
@@ -65,6 +69,9 @@ GOLDEN_SHA256 = {
 
 GOLDEN_PAYLOAD_SHA256 = "c180b1ac870520d6d1827feaafa5c2450831f177b2f40bac342ed08e3407054b"
 
+# configs/desk.cfg, seed 0: catalog JSON, then the train and the test JSONL
+DESK_DATASET_SHA256 = "42930acd958bb2eade1a293baa39e1b84a52c283955799f4687f927ca09ea989"
+
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
@@ -87,3 +94,13 @@ def test_checkpoint_payload_matches_golden_hash(outputs):
     blob = (outputs / "model.ckpt").read_bytes()
     (head_len,) = struct.unpack("<I", blob[8:12])
     assert hashlib.sha256(blob[12 + head_len:]).hexdigest() == GOLDEN_PAYLOAD_SHA256
+
+
+def test_desk_dataset_matches_golden_hash():
+    """The desk world at full size: every stream's draws and every batched pass."""
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "desk.cfg")
+    catalog, train, test = build_dataset(config)
+    digest = hashlib.sha256()
+    for part in (catalog.to_json(), pages_to_jsonl(train), pages_to_jsonl(test)):
+        digest.update(part.encode())
+    assert digest.hexdigest() == DESK_DATASET_SHA256
