@@ -26,8 +26,8 @@ from .data_oracle import (atomic_write, load_catalog, load_pages, pages_to_batch
 from .errors import ConfigError, NumericError, ParError
 from .metrics import ReportTable, report_timestamp
 from .scoring import rerank
-from .trainer import (Checkpoint, evaluate, gradcheck, tiny_gradcheck_config, train,
-                      validate_dataset)
+from .trainer import (EVAL_SEED, Checkpoint, evaluate, gradcheck, tiny_gradcheck_config,
+                      train, validate_dataset)
 from .trainer import _score_pages
 
 log = logging.getLogger(__name__)
@@ -201,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint against the oracle")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="dataset base path")
-    p.add_argument("--seed", type=int, help="override the evaluation click seed")
+    p.add_argument("--seed", type=int, default=EVAL_SEED,
+                   help=f"evaluation click seed (default {EVAL_SEED})")
     p.add_argument("--relevance", choices=["labels", "clicks"], default="labels")
     p.add_argument("--out", required=True, help="report base path (.csv/.json added)")
     p.set_defaults(func=cmd_eval)

@@ -70,25 +70,18 @@ class TrainConfig:
     true_dim: int = 16
     pos_per_list: int = 3
     user_themes: int = 5
-    eta1: float = 0.4
-    eta2: float = 0.5
-    label_noise: float = 0.1
-    ranker_hidden: int = 32
     ranker_epochs: int = 1
-    ranker_lr: float = 0.01
-    eval_seed: int = 90210
     ablate_seeds: int = 5
 
     def __post_init__(self):
         positive = ["learning_rate", "batch_size", "n", "m", "t",
                     "d_x", "d_h", "d_a", "d_o", "d_r", "heads", "sigma", "experts",
                     "train_pages", "test_pages", "themes", "items_per_theme",
-                    "true_dim", "pos_per_list", "user_themes", "ranker_hidden",
-                    "ablate_seeds"]
+                    "true_dim", "pos_per_list", "user_themes", "ablate_seeds"]
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ["l2", "eta1", "eta2", "label_noise", "ranker_lr", "epochs"]:
+        for name in ["l2", "epochs", "seed"]:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.variant not in VARIANTS:

@@ -8,9 +8,10 @@ ids alone. The oracle click probability of a displayed item is
 
     relevance * 1 / (position^eta1 * list^eta2) * dissimilarity,
 
-with 1-based position/list indices and dissimilarity measured against the
-items currently displayed at Manhattan distance 1. True embeddings are not
-visible to the reranking model; it must learn from ids and clicks.
+with 1-based position/list indices, eta1 = 0.4 and eta2 = 0.5, and
+dissimilarity measured against the items currently displayed at Manhattan
+distance 1. True embeddings are not visible to the reranking model; it must
+learn from ids and clicks.
 """
 
 from __future__ import annotations
@@ -173,6 +174,8 @@ class UserProfile:
 
 TOP_K = 5  # a user's history items come from their top-5 items of a theme
 APPEAL_CHUNK = 512  # pages per embedding gather in generate_pages
+# initial rankers: hidden width, Adam learning rate, std of the target noise
+RANKER_HIDDEN, RANKER_LR, LABEL_NOISE = 32, 0.01, 0.1
 
 
 def make_user(catalog: Catalog, user_id: int, user_themes: int, t: int,
@@ -339,9 +342,9 @@ def train_initial_rankers(features: list[np.ndarray], config: TrainConfig,
         rng = stream(master_seed, _RANKERS, i)
         feats = list_features.reshape(-1, 2 * d)
         affinity = (feats[:, None, :d] @ feats[:, d:, None])[:, 0, 0]
-        targets = affinity + config.label_noise * rng.standard_normal(len(feats))
-        ranker = InitialRanker(2 * d, config.ranker_hidden, rng)
-        ranker.train(feats, targets, config.ranker_epochs, config.ranker_lr, rng)
+        targets = affinity + LABEL_NOISE * rng.standard_normal(len(feats))
+        ranker = InitialRanker(2 * d, RANKER_HIDDEN, rng)
+        ranker.train(feats, targets, config.ranker_epochs, RANKER_LR, rng)
         rankers.append(ranker)
     return rankers
 
@@ -369,13 +372,11 @@ class ClickOracle:
     """
 
     PAGE_CHUNK = 256  # pages per gather in click_prob
+    ETA1, ETA2 = 0.4, 0.5  # decay exponents of the position and the list index
 
-    def __init__(self, catalog: Catalog, layout: PageLayout,
-                 eta1: float = 0.4, eta2: float = 0.5):
+    def __init__(self, catalog: Catalog, layout: PageLayout):
         self.catalog = catalog
         self.layout = layout
-        self.eta1 = eta1
-        self.eta2 = eta2
         n, m = layout.n, layout.m
         real = slot_mask(layout, 1).reshape(n * m) > 0
         adjacent = (manhattan_distance_matrix(layout) == 1) & real[:, None] & real[None, :]
@@ -388,11 +389,11 @@ class ClickOracle:
         self._nbr_slot = np.where(np.arange(width) < self._nbr_count[:, None], ordered, n * m)
         pos = np.arange(1, m + 1, dtype=np.float64)
         lst = np.arange(1, n + 1, dtype=np.float64)
-        self._decay = (pos[None, :] ** -eta1) * (lst[:, None] ** -eta2)
+        self._decay = (pos[None, :] ** -self.ETA1) * (lst[:, None] ** -self.ETA2)
 
     def position_decay(self, position: int, list_index: int) -> float:
         """Decay for 1-based (position-in-list, list) indices."""
-        return float(position ** -self.eta1 * list_index ** -self.eta2)
+        return float(position ** -self.ETA1 * list_index ** -self.ETA2)
 
     def click_prob(self, items: np.ndarray, rel: np.ndarray,
                    mask: np.ndarray) -> np.ndarray:
@@ -595,7 +596,7 @@ def build_dataset(config: TrainConfig) -> tuple[Catalog, list[PageRecord], list[
     rankers = train_initial_rankers([f[:len(train)] for f in features], config, seed)
     initial_rank(pages, rankers, features)
 
-    oracle = ClickOracle(catalog, layout, config.eta1, config.eta2)
+    oracle = ClickOracle(catalog, layout)
     label_pages(train, oracle, seed)
     label_pages(test, oracle, seed + 1)
     return catalog, train, test

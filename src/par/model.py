@@ -25,6 +25,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .config import VARIANTS, TrainConfig
+from .data_oracle import stream
 from .embedding import (EmbeddingTable, PageBatch, embed_history, embed_page,
                         embedding_rows)
 from .errors import ConfigError, ContractError
@@ -135,8 +136,7 @@ class ParModel:
     # -- parameter bookkeeping ------------------------------------------
 
     def _stream(self, name: str) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence([self.seed, zlib.crc32(name.encode())]))
+        return stream(self.seed, zlib.crc32(name.encode()))
 
     def _register(self, name: str, tensor: Tensor) -> Tensor:
         if name in self._params:
@@ -195,8 +195,11 @@ class ParModel:
     # -- forward ----------------------------------------------------------
 
     def forward(self, batch: PageBatch) -> Tensor:
-        """Score every slot's relevance: (b, n, m) in (0, 1)."""
-        c, off = self.config, VARIANTS[self.config.variant]
+        """Score every slot's relevance: (b, n, m) in (0, 1).
+
+        An ablated component is one whose parameters `__init__` did not build.
+        """
+        c = self.config
         b, n, m = batch.items.shape
         if (n, m) != (c.n, c.m):
             raise ConfigError(f"batch shaped {n}x{m} but model built for {c.n}x{c.m}")
@@ -206,10 +209,10 @@ class ParModel:
         def zeros(*shape: int) -> Tensor:  # an ablated block, in the parameters' dtype
             return Tensor(np.zeros(shape, dtype=x_emb.values.dtype))
 
-        if "hdsa" in off:
+        if self.agg is None:
             page_vec = zeros(b, c.d_l)
         else:
-            if "dsa" in off:
+            if self.dual is None:
                 x_t, h_t = candidate_self_attention(x_emb, batch.mask)
                 if c.d_h != c.d_x:
                     h_t = zeros(b, n, m, c.d_h)
@@ -220,21 +223,20 @@ class ParModel:
             pooled = item_level_aggregation(x_t, h_t, self.agg, batch.mask)
             page_vec = list_level_aggregation(list_level_self_attention(pooled), self.agg)
 
-        if "ssa" in off:
+        if self.ss is None:
             influence = zeros(b, n, m, c.d_o)
         else:
             flat = ag.reshape(x_emb, (b, n * m, c.d_x))
             out = spatial_scaled_attention(flat, self.distances, self.ss,
-                                           batch.mask.reshape(b, n * m),
-                                           distance_scaling="scale" not in off)
+                                           batch.mask.reshape(b, n * m))
             influence = ag.reshape(out, (b, n, m, c.d_o))
 
-        if "dn" in off:
+        if self.dense is None:
             dense_feat = zeros(b, n, m, c.d_r)
         else:
             dense_feat = dense_network(x_emb, self.dense)
 
-        if "mmoe" in off:
+        if self.moe is None:
             return single_mlp_score(page_vec, dense_feat, influence, self.head)
         return mmoe_score(page_vec, dense_feat, influence, self.moe)
 

@@ -46,15 +46,15 @@ def learnable_sigmoid(d, v, sigma: float = 0.1) -> Tensor:
 
 
 def spatial_scaled_attention(x_flat: Tensor, distances: np.ndarray,
-                             params: SSAttnParams, mask: np.ndarray,
-                             distance_scaling: bool = True) -> Tensor:
+                             params: SSAttnParams, mask: np.ndarray) -> Tensor:
     """Multi-head attention over the nm page slots.
 
     x_flat: (b, nm, d_x); distances: (nm, nm); mask: (b, nm) slot mask.
-    With distance_scaling, logits are softplus-rectified and multiplied by
-    each head's influence factor; without it (ablation) plain dot-product
-    logits are used. Padding slots are masked as keys, and their output rows
-    are zeroed so they contribute nothing downstream. Returns (b, nm, d_o).
+    With steepness params, logits are softplus-rectified and multiplied by
+    each head's influence factor; without them (the distance scaling
+    ablated) plain dot-product logits are used. Padding slots are masked as
+    keys, and their output rows are zeroed so they contribute nothing
+    downstream. Returns (b, nm, d_o).
     """
     b, nm, _ = x_flat.shape
     n_heads, _, d_a = params.w_q.shape
@@ -67,9 +67,7 @@ def spatial_scaled_attention(x_flat: Tensor, distances: np.ndarray,
     val = ag.matmul(x4, params.w_v)
 
     raw = ag.matmul(q, ag.transpose(k))                            # (b, B, nm, nm)
-    if distance_scaling:
-        if params.v is None:
-            raise ContractError("distance scaling requested but steepness params absent")
+    if params.v is not None:
         v3 = ag.reshape(params.v, (n_heads, 1, 1))
         # the 1/sqrt(d_a) scale rides on the small (B, nm, nm) factor
         factor = learnable_sigmoid(distances, v3, params.sigma) / math.sqrt(d_a)

@@ -35,6 +35,8 @@ CHECKPOINT_MAGIC = b"PARCKPT1"
 # seed-stream tags
 _SHUFFLE, _CLICKS, _GRADCHECK = 0x102, 0x103, 0x104
 
+EVAL_SEED = 90210  # the seed of evaluate's click draws unless one is given
+
 
 # -- checkpoints ----------------------------------------------------------------
 
@@ -207,22 +209,24 @@ def _score_pages(model: ParModel, batch: PageBatch, chunk: int = 128) -> np.ndar
 
 
 def evaluate(checkpoint: Checkpoint, pages: list[PageRecord], catalog: Catalog,
-             eval_seed: int | None = None, relevance_source: str = "labels"
+             eval_seed: int = EVAL_SEED, relevance_source: str = "labels"
              ) -> dict[str, MetricReport]:
     """Score, rerank, re-query the oracle, and compute metrics.
 
     Returns one report for the untouched initial order (INIT) and one for the
-    checkpoint's variant. Each arrangement is one oracle call over all pages;
-    clicks are resampled per page with streams derived from eval_seed, so INIT
-    and the model face identical click noise protocols.
+    checkpoint's variant. Each arrangement is one oracle call over all pages,
+    and its clicks are one draw over all pages from the arm's own stream of
+    eval_seed, so INIT and the model face identical click noise protocols.
+    Only `utility` reads the drawn clicks.
     """
     config = checkpoint.config
     validate_dataset(config, pages, catalog)
     if relevance_source not in ("labels", "clicks"):
         raise ConfigError(f"relevance_source must be labels|clicks, got {relevance_source}")
-    seed = config.eval_seed if eval_seed is None else eval_seed
+    if eval_seed < 0:
+        raise ConfigError(f"eval_seed must be >= 0, got {eval_seed}")
     layout = config.build_layout()
-    oracle = ClickOracle(catalog, layout, config.eta1, config.eta2)
+    oracle = ClickOracle(catalog, layout)
     model = checkpoint.build_model()
     batch = pages_to_batch(pages, catalog, layout, config.t)
     items, mask, rel = batch.items, batch.mask, displayed_grid(pages, layout, "rel")
@@ -233,8 +237,7 @@ def evaluate(checkpoint: Checkpoint, pages: list[PageRecord], catalog: Catalog,
     def report(arm: int, shown_items: np.ndarray, shown_rel: np.ndarray,
                shown_relevance: np.ndarray) -> MetricReport:
         probs = oracle.click_prob(shown_items, shown_rel, mask)
-        drawn = np.stack([oracle.sample_clicks(page_probs, _rng(seed, _CLICKS, arm, p))
-                          for p, page_probs in enumerate(probs)])
+        drawn = oracle.sample_clicks(probs, _rng(eval_seed, _CLICKS, arm))
         return compute_report(drawn, probs, shown_relevance, mask, layout.roles, config.seed)
 
     def reranked(grid: np.ndarray) -> np.ndarray:

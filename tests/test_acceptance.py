@@ -125,7 +125,7 @@ class TestCriterion3LearnableSigmoid:
 class TestCriterion4OracleDecay:
     def test_decay_and_zero_relevance(self):
         catalog = Catalog.build(4, 12, 8, seed=0)
-        oracle = ClickOracle(catalog, stacked_preset(2, 4), 0.4, 0.5)
+        oracle = ClickOracle(catalog, stacked_preset(2, 4))
         d21 = oracle.position_decay(2, 1)
         d12 = oracle.position_decay(1, 2)
         decay_ok = abs(d21 - 2 ** -0.4) <= 1e-12 and abs(d12 - 2 ** -0.5) <= 1e-12

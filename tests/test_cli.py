@@ -1,10 +1,12 @@
 """End-to-end command-line pipeline on a miniature dataset."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import os
+import re
 import shutil
 import struct
 import tempfile
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from par import cli
 from par.cli import main
-from par.config import load_config, parse_config_text
+from par.config import TrainConfig, load_config, parse_config_text
 from par.errors import ConfigError
 from par.model import ParModel
 from par.trainer import Checkpoint
@@ -71,7 +73,9 @@ class TestConfigFile:
         assert config.learning_rate == 0.001
 
     @pytest.mark.parametrize("line", ["not_a_key = 3", "dsa = true", "theme_mix = 0.5",
-                                      "quality_weight_top = 1.5"])
+                                      "quality_weight_top = 1.5", "eta1 = 0.4", "eta2 = 0.5",
+                                      "label_noise = 0.1", "ranker_hidden = 32",
+                                      "ranker_lr = 0.01", "eval_seed = 90210"])
     def test_unknown_key_rejected(self, line):
         key = line.split(" = ")[0]
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
@@ -84,6 +88,13 @@ class TestConfigFile:
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config_text("just some words\n")
+
+    def test_readme_configuration_names_every_key(self):
+        """README's Configuration section names each config key, and no other."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        named = set(re.findall(r"`([a-z][a-z0-9_]*)`", section))
+        assert named == {f.name for f in dataclasses.fields(TrainConfig)}
 
     def test_comments_and_blanks_ignored(self):
         config = parse_config_text("# comment\n\nseed = 9\n")
@@ -321,7 +332,8 @@ class TestErrorSurface:
         root, config, data = workspace
         removed = {"dsa": False, "hdsa": False, "scale": False, "ssa": False, "dn": False,
                    "mmoe": False, "theme_mix": 0.0, "quality_weight_top": 1.0,
-                   "quality_weight_bottom": 1.0}
+                   "quality_weight_bottom": 1.0, "eta1": 0.4, "eta2": 0.5, "label_noise": 0.1,
+                   "ranker_hidden": 32, "ranker_lr": 0.01, "eval_seed": 90210}
         stale = tmp_path / "old.ckpt"
         stale.write_bytes(_edit_header(checkpoint.read_bytes(),
                                        lambda header: header["config"].update(removed)))
@@ -329,6 +341,35 @@ class TestErrorSurface:
         assert main([command, "--checkpoint", str(stale), "--data", str(data),
                      "--out", str(tmp_path / "out")]) == 1
         self._single_error_line(capsys, "ConfigError", f"unknown config keys: {sorted(removed)}")
+
+    @pytest.mark.parametrize("command,seed", [("gen-data", -1), ("train", -2), ("eval", -5)])
+    def test_negative_seed_single_line_error(self, workspace, checkpoint, tmp_path, capsys,
+                                             command, seed):
+        root, config, data = workspace
+        inputs = {"gen-data": ["--config", str(config)],
+                  "train": ["--config", str(config), "--data", str(data)],
+                  "eval": ["--checkpoint", str(checkpoint), "--data", str(data)]}[command]
+        capsys.readouterr()
+        assert main([command, *inputs, "--seed", str(seed),
+                     "--out", str(tmp_path / "out")]) == 1
+        name = "eval_seed" if command == "eval" else "seed"
+        self._single_error_line(capsys, "ConfigError", f"{name} must be >= 0, got {seed}")
+        assert not list(tmp_path.iterdir())
+
+    def test_negative_seed_in_config_or_checkpoint_single_line_error(
+            self, workspace, checkpoint, tmp_path, capsys):
+        root, config, data = workspace
+        negative = tmp_path / "negative.cfg"
+        negative.write_text(TINY_CONFIG + "seed = -3\n")
+        stale = tmp_path / "negative.ckpt"
+        stale.write_bytes(_edit_header(checkpoint.read_bytes(),
+                                       lambda header: header["config"].update(seed=-3)))
+        capsys.readouterr()
+        assert main(["gen-data", "--config", str(negative), "--out", str(tmp_path / "b")]) == 1
+        self._single_error_line(capsys, "ConfigError", "seed must be >= 0, got -3")
+        assert main(["rerank", "--checkpoint", str(stale), "--data", str(data),
+                     "--out", str(tmp_path / "perms.jsonl")]) == 1
+        self._single_error_line(capsys, "ConfigError", "seed must be >= 0, got -3")
 
     @pytest.mark.parametrize("command", ["eval", "rerank"])
     def test_missing_checkpoint_single_line_error(self, workspace, tmp_path, capsys, command):

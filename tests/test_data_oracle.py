@@ -223,7 +223,7 @@ class TestDrawsInOrder:
     def test_label_pages_equals_per_page_loop(self, layout, seed):
         config, cat, users = self.world(layout, seed)
         lay = config.build_layout()
-        oracle = ClickOracle(cat, lay, config.eta1, config.eta2)
+        oracle = ClickOracle(cat, lay)
         pages = generate_pages(cat, users, lay, config.pos_per_list, seed)
         rng = np.random.default_rng(seed)
         for page in pages:  # a mix of ranked and generated orders
@@ -302,9 +302,9 @@ class TestInitialRanking:
 
 
 class TestOracle:
-    def make_oracle(self, eta1=0.4, eta2=0.5, n=2, m=4):
+    def make_oracle(self, n=2, m=4):
         cat = Catalog.build(4, 12, 8, seed=7)
-        return cat, ClickOracle(cat, stacked_preset(n, m), eta1, eta2)
+        return cat, ClickOracle(cat, stacked_preset(n, m))
 
     def test_decay_reference_values(self):
         _, oracle = self.make_oracle()
@@ -352,7 +352,7 @@ class TestOracle:
     def test_promoting_relevant_item_never_hurts(self):
         # identical neighbors around both positions by construction
         cat, _ = self.make_oracle()
-        oracle = ClickOracle(cat, stacked_preset(1, 3), 0.4, 0.5)
+        oracle = ClickOracle(cat, stacked_preset(1, 3))
         a, b = 1, 13
         back = np.array([[b, a, b]])
         front = np.array([[a, b, b]])
@@ -393,7 +393,7 @@ class TestOracle:
     @pytest.mark.parametrize("layout", LAYOUTS, ids=["stacked", "fshape", "fshape-isolated"])
     def test_batched_equals_per_slot_loop(self, layout):
         cat = Catalog.build(4, 12, 8, seed=7)
-        oracle = ClickOracle(cat, layout, 0.4, 0.5)
+        oracle = ClickOracle(cat, layout)
         rng = np.random.default_rng(21)
         items, rel, mask = self.random_pages(cat, layout, 30, rng)
         # a padding-only neighbourhood (zero-mean neighbours) and a masked real slot
@@ -409,7 +409,7 @@ class TestOracle:
     @pytest.mark.parametrize("layout", LAYOUTS, ids=["stacked", "fshape", "fshape-isolated"])
     def test_page_axis_equals_separate_calls(self, layout):
         cat = Catalog.build(4, 12, 8, seed=7)
-        oracle = ClickOracle(cat, layout, 0.4, 0.5)
+        oracle = ClickOracle(cat, layout)
         items, rel, mask = self.random_pages(cat, layout, 12, np.random.default_rng(22))
         probs = oracle.click_prob(items, rel, mask)
         assert probs.shape == items.shape

@@ -1,5 +1,5 @@
-"""Golden bytes: a tiny config's generated dataset and trained checkpoint, and the
-desk config's generated dataset.
+"""Golden bytes: a tiny config's generated dataset, trained checkpoint and
+evaluation report, and the desk config's generated dataset.
 
 Generation and training run in float64 in a fixed operation order, so these
 files are byte-identical from run to run and across refactors that keep that
@@ -17,7 +17,8 @@ compare against those.
 The checkpoint's header holds the config as key/value pairs, so renaming or
 deleting a config key moves the checkpoint's file hash. Its tensor payload,
 the bytes after the header, has a hash of its own, which only a change to
-the trained values moves.
+the trained values moves. The report tables are written with
+SOURCE_DATE_EPOCH set, so their timestamp column is fixed.
 """
 
 import hashlib
@@ -64,7 +65,11 @@ GOLDEN_SHA256 = {
     "pages.catalog.json":
         "b91b8672a519e8e1fbe651fda8167e9906d8ac6ad496e7a55bac2e5304a48ae6",
     "model.ckpt":
-        "77bb6a254b50ae87f1a7cea2457bf11d148f0db8774d8a0390049d0920f551bb",
+        "42e7be0ccd8f5d00ef823134377fc7a4a65390aae51730aafcc8c0ac17cbcf25",
+    "report.csv":
+        "28c8faf941c16be23e985f5f70718dfa7fb8eeb8d88b46ebefa38e178dc001df",
+    "report.json":
+        "6600ab3ec47445d50527f5bd8c38092cb247768fc6a60b94c4a177f80803539d",
 }
 
 GOLDEN_PAYLOAD_SHA256 = "c180b1ac870520d6d1827feaafa5c2450831f177b2f40bac342ed08e3407054b"
@@ -81,6 +86,10 @@ def outputs(tmp_path_factory):
     assert main(["gen-data", "--config", str(config), "--out", str(root / "pages")]) == 0
     assert main(["train", "--config", str(config), "--data", str(root / "pages"),
                  "--out", str(root / "model.ckpt")]) == 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("SOURCE_DATE_EPOCH", "0")
+        assert main(["eval", "--checkpoint", str(root / "model.ckpt"),
+                     "--data", str(root / "pages"), "--out", str(root / "report")]) == 0
     return root
 
 

@@ -9,8 +9,9 @@ import pytest
 
 from par import trainer
 from par.config import TrainConfig, with_variant
-from par.data_oracle import build_dataset, pages_to_batch
+from par.data_oracle import ClickOracle, build_dataset, displayed_grid, pages_to_batch
 from par.errors import ConfigError, ContractError, DataError, NumericError
+from par.metrics import utility
 from par.model import ParModel
 from par.scoring import rerank
 from par.trainer import Checkpoint, evaluate, gradcheck, tiny_gradcheck_config, train
@@ -250,6 +251,24 @@ class TestEvaluate:
         for b in others:
             assert abs(a["PAR"].sctr - b["PAR"].sctr) < 1e-12  # probs are exact
         assert any(b["PAR"].utility != a["PAR"].utility for b in others)  # draws differ
+
+    @pytest.mark.parametrize("eval_seed", [trainer.EVAL_SEED, 7])
+    def test_utility_is_one_click_draw_per_arm(self, toy_dataset, eval_seed):
+        config, catalog, train_pages, test_pages = toy_dataset
+        ckpt = train(config, train_pages, catalog)
+        layout = config.build_layout()
+        batch = pages_to_batch(test_pages, catalog, layout, config.t)
+        items, rel = batch.items, displayed_grid(test_pages, layout, "rel")
+        perms = rerank(trainer._score_pages(ckpt.build_model(), batch), batch.mask)
+        arms = {"INIT": (0, items, rel),
+                "PAR": (1, np.take_along_axis(items, perms, axis=-1),
+                        np.take_along_axis(rel, perms, axis=-1))}
+        reports = evaluate(ckpt, test_pages, catalog, eval_seed=eval_seed)
+        oracle = ClickOracle(catalog, layout)
+        for system, (arm, shown_items, shown_rel) in arms.items():
+            probs = oracle.click_prob(shown_items, shown_rel, batch.mask)
+            drawn = oracle.sample_clicks(probs, trainer._rng(eval_seed, trainer._CLICKS, arm))
+            assert reports[system].utility == utility(drawn), system
 
     def test_click_relevance_switch(self, toy_dataset):
         config, catalog, train_pages, test_pages = toy_dataset
