@@ -21,14 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import VARIANTS, TrainConfig, load_config, with_variant
-from .data_oracle import (atomic_write, load_catalog, load_pages, pages_to_batch,
-                          write_catalog, write_pages)
+from .data_oracle import atomic_write, load_catalog, load_pages, write_catalog, write_pages
 from .errors import ConfigError, NumericError, ParError
 from .metrics import ReportTable, report_timestamp
-from .scoring import rerank
-from .trainer import (EVAL_SEED, Checkpoint, evaluate, gradcheck, tiny_gradcheck_config,
-                      train, validate_dataset)
-from .trainer import _score_pages
+from .trainer import (EVAL_SEED, Checkpoint, evaluate, gradcheck, rank_pages,
+                      tiny_gradcheck_config, train)
 
 log = logging.getLogger(__name__)
 
@@ -86,18 +83,15 @@ def cmd_train(args) -> int:
 
 def cmd_rerank(args) -> int:
     checkpoint = Checkpoint.load(args.checkpoint)
-    config = checkpoint.config
     pages, catalog = _load_split(args.data, args.split)
-    validate_dataset(config, pages, catalog)
-    layout = config.build_layout()
-    batch = pages_to_batch(pages, catalog, layout, config.t)
-    perms = rerank(_score_pages(checkpoint.build_model(), batch), batch.mask).tolist()
+    _, perms = rank_pages(checkpoint, pages, catalog)
+    lengths = checkpoint.config.build_layout().lengths
 
     lines = []
-    for page, page_perms in zip(pages, perms):
+    for page, page_perms in zip(pages, perms.tolist()):
         lines.append(json.dumps({
             "user": page.user_id,
-            "permutations": [page_perms[i][:length] for i, length in enumerate(layout.lengths)],
+            "permutations": [page_perms[i][:length] for i, length in enumerate(lengths)],
         }, sort_keys=True))
     atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"reranked {len(pages)} pages; permutations at {args.out}")

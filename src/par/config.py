@@ -6,10 +6,11 @@ Unknown keys are errors so typos cannot silently fall back to defaults.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, ParError
 from .layout import PRESETS, PageLayout, fshape_preset, stacked_preset
 
 
@@ -26,6 +27,10 @@ VARIANTS: dict[str, frozenset[str]] = {
     "PAR-DN": frozenset({"dn"}),
     "PAR-MMoE": frozenset({"mmoe"}),
 }
+
+
+# The only keys that may be 0; every other number, and each layer width, must be positive.
+_MAY_BE_ZERO = frozenset({"l2", "epochs", "seed", "ranker_epochs"})
 
 
 @dataclass
@@ -74,26 +79,37 @@ class TrainConfig:
     ablate_seeds: int = 5
 
     def __post_init__(self):
-        positive = ["learning_rate", "batch_size", "n", "m", "t",
-                    "d_x", "d_h", "d_a", "d_o", "d_r", "heads", "sigma", "experts",
-                    "train_pages", "test_pages", "themes", "items_per_theme",
-                    "true_dim", "pos_per_list", "user_themes", "ablate_seeds"]
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ["l2", "epochs", "seed"]:
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for f in dataclasses.fields(self):
+            name, kind, raw = f.name, type(f.default), getattr(self, f.name)
+            value = tuple(raw) if kind is tuple and type(raw) is list else raw  # a JSON list
+            if kind is float and type(value) is int:
+                value = float(value)
+            numbers = value if type(value) is tuple else (value,)
+            element = int if kind is tuple else kind  # a bool is not an int
+            if type(value) is not kind or any(type(v) is not element for v in numbers):
+                what = "a list of int" if kind is tuple else kind.__name__
+                raise ConfigError(f"{name} must be {what}, got {raw!r}")
+            setattr(self, name, value)
+            if kind is str:
+                continue
+            if not all(math.isfinite(v) for v in numbers):
+                raise ConfigError(f"{name} must be finite, got {raw!r}")
+            zero_ok = name in _MAY_BE_ZERO
+            if any(v < 0 or (v == 0 and not zero_ok) for v in numbers):
+                raise ConfigError(f"{name} must be {'>= 0' if zero_ok else 'positive'}, "
+                                  f"got {raw!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant '{self.variant}' (choose from {list(VARIANTS)})")
         if self.layout not in PRESETS:
             raise ConfigError(f"unknown layout '{self.layout}' (choose from {sorted(PRESETS)})")
         if not self.expert_hidden or not self.tower_hidden:
             raise ConfigError("expert_hidden and tower_hidden must be non-empty")
-        if self.pos_per_list > self.m:
-            raise ConfigError("pos_per_list cannot exceed the list length m")
         if self.themes < self.n:
             raise ConfigError(f"need at least n={self.n} themes, got {self.themes}")
+        shortest = min(self.build_layout().lengths)
+        if self.pos_per_list > shortest:
+            raise ConfigError(f"pos_per_list {self.pos_per_list} exceeds the shortest list's "
+                              f"{shortest} items")
 
     @property
     def d_l(self) -> int:
@@ -111,10 +127,8 @@ class TrainConfig:
         return self.variant
 
     def build_layout(self) -> PageLayout:
-        if self.layout == "stacked":
-            lay = stacked_preset(self.n, self.m)
-        else:
-            lay = fshape_preset(self.v_len, self.h_count, self.h_len)
+        lay = (stacked_preset(self.n, self.m) if self.layout == "stacked"
+               else fshape_preset(self.v_len, self.h_count, self.h_len))
         if lay.n != self.n or lay.m != self.m:
             raise ConfigError(
                 f"layout '{self.layout}' yields n={lay.n}, m={lay.m} but config says "
@@ -122,11 +136,8 @@ class TrainConfig:
         return lay
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in dataclasses.fields(self):
-            val = getattr(self, f.name)
-            out[f.name] = list(val) if isinstance(val, tuple) else val
-        return out
+        return {name: list(val) if isinstance(val, tuple) else val
+                for name, val in dataclasses.asdict(self).items()}
 
 
 def with_variant(config: TrainConfig, variant: str) -> TrainConfig:
@@ -136,20 +147,15 @@ def with_variant(config: TrainConfig, variant: str) -> TrainConfig:
 def _parse_value(key: str, raw: str, kind):
     raw = raw.strip()
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            return raw
-        # tuple of ints, comma separated
-        return tuple(int(part) for part in raw.split(",") if part.strip())
+        if kind is tuple:  # ints, comma separated
+            return tuple(int(part) for part in raw.split(",") if part.strip())
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"cannot parse value '{raw}' for key '{key}'") from None
 
 
 def parse_config_text(text: str) -> TrainConfig:
-    fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -159,29 +165,28 @@ def parse_config_text(text: str) -> TrainConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got '{stripped}'")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in fields:
+        if key not in kinds:
             raise ConfigError(f"line {lineno}: unknown config key '{key}'")
-        default = getattr(TrainConfig, key, None)
-        kind = type(default) if default is not None else fields[key].type
-        values[key] = _parse_value(key, raw, kind)
+        values[key] = _parse_value(key, raw, kinds[key])
     return TrainConfig(**values)
 
 
-def load_config(path: str | Path) -> TrainConfig:
+def read_text(path: str | Path, undecodable: type[ParError] = ConfigError) -> str:
+    """The file's text; unreadable is a ConfigError, undecodable an `undecodable`."""
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
-    return parse_config_text(text)
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise undecodable(f"{path}: {exc}") from None
+
+
+def load_config(path: str | Path) -> TrainConfig:
+    return parse_config_text(read_text(path))
 
 
 def config_from_dict(data: dict) -> TrainConfig:
-    fields = {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = set(data) - fields
+    unknown = set(data) - {f.name for f in dataclasses.fields(TrainConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    coerced = dict(data)
-    for key in ("expert_hidden", "tower_hidden", "dense_hidden"):
-        if key in coerced and isinstance(coerced[key], list):
-            coerced[key] = tuple(coerced[key])
-    return TrainConfig(**coerced)
+    return TrainConfig(**data)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import AdamState, Tensor, adam_step
-from .config import TrainConfig
+from .config import TrainConfig, read_text
 from .embedding import PageBatch
 from .errors import ConfigError, DataError
 from .layout import PageLayout, manhattan_distance_matrix
@@ -240,9 +240,6 @@ def generate_pages(catalog: Catalog, users: list[UserProfile], layout: PageLayou
     found in one pass over all pages.
     """
     n, lengths = layout.n, layout.lengths
-    if pos_per_list > min(lengths):
-        raise ConfigError(f"pos_per_list {pos_per_list} exceeds the shortest list's "
-                          f"{min(lengths)} items")
     if catalog.themes < n:
         raise DataError(f"catalog has {catalog.themes} themes, page needs {n}")
     size = catalog.items_per_theme
@@ -559,9 +556,10 @@ def write_pages(pages: list[PageRecord], path: str | Path) -> None:
 
 
 def _load(path: str | Path, parse):
+    text = read_text(path, DataError)
     try:
-        return parse(Path(path).read_text())
-    except (DataError, UnicodeDecodeError) as exc:
+        return parse(text)
+    except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 

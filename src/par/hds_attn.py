@@ -97,20 +97,16 @@ def dual_side_attention(x_emb: Tensor, h_emb: Tensor, params: DualSideParams,
     return x_tilde, h_tilde
 
 
-def candidate_self_attention(x_emb: Tensor, mask: np.ndarray) -> tuple[Tensor, Tensor]:
+def candidate_self_attention(x_emb: Tensor, mask: np.ndarray) -> Tensor:
     """History-free replacement for dual-side attention (ablation variant).
 
-    Scaled dot-product self-attention over each list's candidates; the
-    history-side output is a zero constant of the same shape so downstream
-    concatenation is unchanged.
+    Scaled dot-product self-attention over each list's candidates: the
+    candidate side's output, (b, n, m, d_x). The caller supplies the history
+    side.
     """
-    b, n, m, d_x = x_emb.shape
-    logits = ag.matmul(x_emb, ag.transpose(x_emb)) / math.sqrt(d_x)
+    logits = ag.matmul(x_emb, ag.transpose(x_emb)) / math.sqrt(x_emb.shape[-1])
     bias = _key_mask_bias(mask)[:, :, None, :]
-    attn = ag.softmax(logits + bias, axis=-1)
-    x_tilde = ag.matmul(attn, x_emb)
-    h_tilde = Tensor(np.zeros((b, n, m, d_x), dtype=x_emb.values.dtype))
-    return x_tilde, h_tilde
+    return ag.matmul(ag.softmax(logits + bias, axis=-1), x_emb)
 
 
 def item_level_aggregation(x_tilde: Tensor, h_tilde: Tensor,

@@ -213,9 +213,7 @@ class ParModel:
             page_vec = zeros(b, c.d_l)
         else:
             if self.dual is None:
-                x_t, h_t = candidate_self_attention(x_emb, batch.mask)
-                if c.d_h != c.d_x:
-                    h_t = zeros(b, n, m, c.d_h)
+                x_t, h_t = candidate_self_attention(x_emb, batch.mask), zeros(b, n, m, c.d_h)
             else:
                 h_emb = embed_history(batch, self.hist_item_table, self.hist_category_table)
                 x_t, h_t = dual_side_attention(x_emb, h_emb, self.dual,

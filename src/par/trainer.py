@@ -208,6 +208,15 @@ def _score_pages(model: ParModel, batch: PageBatch, chunk: int = 128) -> np.ndar
     return np.concatenate(scores, axis=0)
 
 
+def rank_pages(checkpoint: Checkpoint, pages: list[PageRecord], catalog: Catalog
+               ) -> tuple[PageBatch, np.ndarray]:
+    """Check `pages`, then the checkpoint model's `(P, n, m)` reranking of each list."""
+    config = checkpoint.config
+    validate_dataset(config, pages, catalog)
+    batch = pages_to_batch(pages, catalog, config.build_layout(), config.t)
+    return batch, rerank(_score_pages(checkpoint.build_model(), batch), batch.mask)
+
+
 def evaluate(checkpoint: Checkpoint, pages: list[PageRecord], catalog: Catalog,
              eval_seed: int = EVAL_SEED, relevance_source: str = "labels"
              ) -> dict[str, MetricReport]:
@@ -220,17 +229,14 @@ def evaluate(checkpoint: Checkpoint, pages: list[PageRecord], catalog: Catalog,
     Only `utility` reads the drawn clicks.
     """
     config = checkpoint.config
-    validate_dataset(config, pages, catalog)
     if relevance_source not in ("labels", "clicks"):
         raise ConfigError(f"relevance_source must be labels|clicks, got {relevance_source}")
     if eval_seed < 0:
         raise ConfigError(f"eval_seed must be >= 0, got {eval_seed}")
+    batch, perms = rank_pages(checkpoint, pages, catalog)
     layout = config.build_layout()
     oracle = ClickOracle(catalog, layout)
-    model = checkpoint.build_model()
-    batch = pages_to_batch(pages, catalog, layout, config.t)
     items, mask, rel = batch.items, batch.mask, displayed_grid(pages, layout, "rel")
-    perms = rerank(_score_pages(model, batch), mask)
 
     relevance = rel if relevance_source == "labels" else batch.clicks
 

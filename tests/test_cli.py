@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from par import cli
 from par.cli import main
-from par.config import TrainConfig, load_config, parse_config_text
+from par.config import (_MAY_BE_ZERO, TrainConfig, config_from_dict, load_config,
+                        parse_config_text)
 from par.errors import ConfigError
 from par.model import ParModel
 from par.trainer import Checkpoint
@@ -54,6 +55,27 @@ ablate_seeds = 1
 """
 
 
+def _field_cases():
+    """(key, source, value): a wrong type, 0, -1, and nan and inf for a float key.
+
+    `source` says whether the value goes through a config file's text or a
+    checkpoint header's dict; a str key's text is always a str.
+    """
+    wrong = {int: [("text", "2.5"), ("dict", 2.0), ("dict", True)],
+             float: [("text", "abc"), ("dict", "0.1"), ("dict", True)],
+             tuple: [("text", "8.0,4"), ("dict", [8.0, 4]), ("dict", 8)],
+             str: [("dict", 3)]}
+    cases = []
+    for f in dataclasses.fields(TrainConfig):
+        kind = type(f.default)
+        values = [0, -1] + ([math.nan, math.inf] if kind is float else [])
+        spelled = [[v] if kind is tuple else v for v in values]
+        cases += [(f.name, source, value) for source, value in wrong[kind]]
+        cases += [(f.name, "text", str(v)) for v in values]
+        cases += [(f.name, "dict", v) for v in spelled]
+    return cases
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -85,6 +107,24 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="epochs"):
             parse_config_text("epochs = soon\n")
 
+    @pytest.mark.parametrize("key, source, value", _field_cases())
+    def test_every_key_takes_only_what_the_rule_allows(self, key, source, value):
+        """A key in `_MAY_BE_ZERO` takes 0; any other case is a ConfigError naming its key."""
+        def build():
+            if source == "text":
+                return parse_config_text(f"{key} = {value}\n")
+            return config_from_dict({key: value})
+
+        default = {f.name: f.default for f in dataclasses.fields(TrainConfig)}[key]
+        if key in _MAY_BE_ZERO and value in (0, "0"):
+            got = getattr(build(), key)
+            assert got == 0 and type(got) is type(default)
+            return
+        with pytest.raises(ConfigError) as caught:
+            build()
+        assert re.search(rf"^{key} must be |key '{key}'|^unknown {key} ", str(caught.value)), \
+            str(caught.value)
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config_text("just some words\n")
@@ -95,6 +135,10 @@ class TestConfigFile:
         section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
         named = set(re.findall(r"`([a-z][a-z0-9_]*)`", section))
         assert named == {f.name for f in dataclasses.fields(TrainConfig)}
+        rule = [sentence for sentence in re.split(r"(?<=\.)\s+", section)
+                if "may be 0" in sentence]
+        assert len(rule) == 1, rule
+        assert set(re.findall(r"`([a-z][a-z0-9_]*)`", rule[0])) == _MAY_BE_ZERO
 
     def test_comments_and_blanks_ignored(self):
         config = parse_config_text("# comment\n\nseed = 9\n")
@@ -303,6 +347,66 @@ class TestErrorSurface:
         self._single_error_line(capsys, "ConfigError",
                                 "pos_per_list 5 exceeds the shortest list's 4 items")
         assert not list(tmp_path.glob("base.*"))
+
+    @pytest.mark.parametrize("line, message", [
+        ("expert_hidden = -8,4", "expert_hidden must be positive, got (-8, 4)"),
+        ("ranker_epochs = -3", "ranker_epochs must be >= 0, got -3"),
+        ("tower_hidden = 0", "tower_hidden must be positive, got (0,)"),
+        ("sigma = nan", "sigma must be finite, got nan"),
+    ])
+    def test_invalid_config_value_single_line_error(self, workspace, tmp_path, capsys, line,
+                                                    message):
+        root, config, data = workspace
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG + line + "\n")
+        capsys.readouterr()
+        assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "base")]) == 1
+        self._single_error_line(capsys, "ConfigError", message)
+        assert main(["train", "--config", str(bad), "--data", str(data),
+                     "--out", str(tmp_path / "x.ckpt")]) == 1
+        self._single_error_line(capsys, "ConfigError", message)
+        assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize("command", ["eval", "rerank"])
+    @pytest.mark.parametrize("edit, message", [
+        ({"n": 2.0}, "n must be int, got 2.0"),
+        ({"expert_hidden": [16.0, 8]}, "expert_hidden must be a list of int, got [16.0, 8]"),
+    ], ids=["float-n", "float-width"])
+    def test_mistyped_checkpoint_header_single_line_error(
+            self, workspace, checkpoint, tmp_path, capsys, command, edit, message):
+        root, config, data = workspace
+        stale = tmp_path / "typed.ckpt"
+        stale.write_bytes(_edit_header(checkpoint.read_bytes(),
+                                       lambda header: header["config"].update(edit)))
+        capsys.readouterr()
+        assert main([command, "--checkpoint", str(stale), "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 1
+        self._single_error_line(capsys, "ConfigError", message)
+        assert list(tmp_path.iterdir()) == [stale]
+
+    @pytest.mark.parametrize("command", ["eval", "rerank"])
+    def test_unreadable_pages_single_line_error(self, workspace, checkpoint, tmp_path, capsys,
+                                                command):
+        root, config, data = workspace
+        base = _copy_dataset(data, tmp_path)
+        pages = base.with_name("pages.test.jsonl")
+        pages.unlink()
+        pages.mkdir()
+        capsys.readouterr()
+        assert main([command, "--checkpoint", str(checkpoint), "--data", str(base),
+                     "--out", str(tmp_path / "out")]) == 1
+        self._single_error_line(capsys, "ConfigError", f"cannot read {pages}: ")
+        assert not list(tmp_path.glob("out*"))
+
+    def test_undecodable_config_single_line_error(self, workspace, tmp_path, capsys):
+        root, config, data = workspace
+        bad = tmp_path / "utf16.cfg"
+        bad.write_bytes(b"\xff\xfe" + TINY_CONFIG.encode("utf-16-le"))
+        capsys.readouterr()
+        assert main(["train", "--config", str(bad), "--data", str(data),
+                     "--out", str(tmp_path / "x.ckpt")]) == 1
+        self._single_error_line(capsys, "ConfigError", f"{bad}: ")
+        assert list(tmp_path.iterdir()) == [bad]
 
     def test_unwritable_checkpoint_single_line_error(self, workspace, tmp_path, capsys):
         root, config, data = workspace

@@ -252,6 +252,7 @@ class TestEndToEndGradients:
     def test_full_model(self):
         self.check(tiny_config())
 
-    @pytest.mark.parametrize("variant", ["PAR-DSA", "PAR-MMoE"])
-    def test_variants(self, variant):
-        self.check(with_variant(tiny_config(), variant), seed=3)
+    @pytest.mark.parametrize("variant, d_h", [("PAR-DSA", 4), ("PAR-MMoE", 4), ("PAR-DSA", 3)],
+                             ids=["PAR-DSA", "PAR-MMoE", "PAR-DSA-own-history-table"])
+    def test_variants(self, variant, d_h):
+        self.check(with_variant(tiny_config(d_h=d_h), variant), seed=3)
