@@ -1,4 +1,4 @@
-"""Dense tensors with reverse-mode differentiation and Adam.
+"""Dense tensors with reverse-mode differentiation, Adam, and the training loop.
 
 The graph is define-by-run: every forward pass records closures that map the
 output gradient back to the operand gradients. Values are numpy arrays and are
@@ -16,6 +16,8 @@ float32 (`trainer._score_pages`).
 
 from __future__ import annotations
 
+import logging
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +25,8 @@ import numpy as np
 from .errors import ContractError, DimensionError, NumericError
 
 Array = np.ndarray
+
+_log = logging.getLogger(__name__)
 
 
 def _as_array(values) -> Array:
@@ -553,18 +557,18 @@ def backward(loss: Tensor) -> None:
 # -- Adam --------------------------------------------------------------------
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
+
 @dataclass
 class AdamState:
-    """Adam optimizer state: moments, step counter, hyperparameters.
+    """Adam optimizer state: learning rate, L2 weight, moments, step counter.
 
     `l2` couples into the gradient (g <- g + l2 * theta) before the moment
     updates, keeping the loss itself regularization-free.
     """
 
     lr: float = 2e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     l2: float = 0.0
     step: int = 0
     m: list = field(default_factory=list)
@@ -583,18 +587,51 @@ def adam_step(params: list[Tensor], grads: list[Array], state: AdamState) -> Non
 
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for i, (p, g) in enumerate(zip(params, grads)):
         if g is None:
             g = np.zeros_like(p.values)
         if state.l2:
             g = g + state.l2 * p.values
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
+        state.m[i] = BETA1 * state.m[i] + (1.0 - BETA1) * g
+        state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * (g * g)
         m_hat = state.m[i] / bc1
         v_hat = state.v[i] / bc2
-        p.values = p.values - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.values = p.values - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
+
+
+def fit(params: list[Tensor], loss_of: Callable[[Array], Tensor], size: int,
+        batch_size: int, epochs: int, rng: np.random.Generator, state: AdamState
+        ) -> list[float]:
+    """Mini-batch Adam on `params` over `size` rows; the mean loss of each epoch.
+
+    Each epoch takes the rows in the order of one `rng.permutation(size)`,
+    `batch_size` at a time, and `loss_of(idx)` is the scalar loss of rows
+    `idx`. An epoch's mean weights each step's loss by its row count. A
+    non-finite loss, or a FloatingPointError that numpy raises under `par`'s
+    np.errstate, stops training with a NumericError naming the epoch and step.
+    """
+    means: list[float] = []
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(size)
+        total = 0.0
+        for step, start in enumerate(range(0, size, batch_size), 1):
+            idx = order[start:start + batch_size]
+            for p in params:
+                p.grad = None
+            try:
+                loss = loss_of(idx)
+                if not np.isfinite(loss.values):
+                    raise FloatingPointError(f"non-finite loss {float(loss.values)}")
+                backward(loss)
+                adam_step(params, [p.grad for p in params], state)
+            except FloatingPointError as exc:
+                raise NumericError(f"{exc} at epoch {epoch}, step {step}") from None
+            total += float(loss.values) * len(idx)
+        means.append(total / size)
+        _log.info("epoch %d/%d: mean loss %.6f", epoch, epochs, means[-1])
+    return means
 
 
 # -- gradient verification ----------------------------------------------------

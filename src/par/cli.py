@@ -147,8 +147,9 @@ def cmd_ablate(args) -> int:
             try:
                 checkpoint = train(run_config, train_pages, catalog)
                 reports = evaluate(checkpoint, test_pages, catalog)
-            except Exception as exc:
-                raise ParError(f"variant {variant} (seed {seed}) failed: {exc}") from exc
+            except (ParError, FloatingPointError) as exc:
+                kind = NumericError if isinstance(exc, FloatingPointError) else type(exc)
+                raise kind(f"variant {variant} (seed {seed}) failed: {exc}") from exc
             report = reports[variant]
             collected[variant].append(report)
             table.add(variant, report, timestamp=stamp)

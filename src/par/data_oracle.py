@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autograd as ag
-from .autograd import AdamState, Tensor, adam_step
+from .autograd import Tensor
 from .config import TrainConfig, read_text
 from .embedding import PageBatch
 from .errors import ConfigError, DataError
@@ -174,8 +174,8 @@ class UserProfile:
 
 TOP_K = 5  # a user's history items come from their top-5 items of a theme
 APPEAL_CHUNK = 512  # pages per embedding gather in generate_pages
-# initial rankers: hidden width, Adam learning rate, std of the target noise
-RANKER_HIDDEN, RANKER_LR, LABEL_NOISE = 32, 0.01, 0.1
+# initial rankers: hidden width, Adam learning rate and batch, std of the target noise
+RANKER_HIDDEN, RANKER_LR, RANKER_BATCH, LABEL_NOISE = 32, 0.01, 256, 0.1
 
 
 def make_user(catalog: Catalog, user_id: int, user_themes: int, t: int,
@@ -280,42 +280,6 @@ def generate_pages(catalog: Catalog, users: list[UserProfile], layout: PageLayou
 # -- initial rankers ----------------------------------------------------------
 
 
-class InitialRanker:
-    """One hidden layer over [user latent, item true embedding]."""
-
-    def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator):
-        w0 = Tensor(glorot(rng, (in_dim, hidden)), requires_grad=True)
-        w1 = Tensor(glorot(rng, (hidden, 1)), requires_grad=True)
-        self.net = Mlp(weights=[w0, w1],
-                       biases=[Tensor(np.zeros(hidden), requires_grad=True),
-                               Tensor(np.zeros(1), requires_grad=True)])
-
-    @property
-    def params(self) -> list[Tensor]:
-        return self.net.weights + self.net.biases
-
-    def scores(self, features: np.ndarray) -> np.ndarray:
-        """Scores of (..., in_dim) feature rows: (...)."""
-        with ag.no_grad():
-            return mlp(Tensor(features), self.net).values.reshape(features.shape[:-1])
-
-    def train(self, features: np.ndarray, targets: np.ndarray, epochs: int,
-              lr: float, rng: np.random.Generator, batch_size: int = 256) -> None:
-        state = AdamState(lr=lr)
-        count = features.shape[0]
-        for _ in range(epochs):
-            order = rng.permutation(count)
-            for start in range(0, count, batch_size):
-                idx = order[start:start + batch_size]
-                pred = mlp(Tensor(features[idx]), self.net)
-                err = pred - Tensor(targets[idx].reshape(-1, 1))
-                loss = (err * err).sum() / len(idx)
-                for p in self.params:
-                    p.grad = None
-                loss.backward()
-                adam_step(self.params, [p.grad for p in self.params], state)
-
-
 def _ranker_features(pages: list[PageRecord], users: dict[int, UserProfile],
                     catalog: Catalog) -> list[np.ndarray]:
     """[user latent, item true embedding] rows of each list: (pages, items, 2*true_dim)."""
@@ -328,9 +292,10 @@ def _ranker_features(pages: list[PageRecord], users: dict[int, UserProfile],
 
 
 def train_initial_rankers(features: list[np.ndarray], config: TrainConfig,
-                          master_seed: int) -> list[InitialRanker]:
+                          master_seed: int) -> list[Mlp]:
     """One pointwise ranker per list position, fit to noisy affinity targets.
 
+    Each is one hidden layer over [user latent, item true embedding], and
     `features` holds each list's `_ranker_features` of the training pages.
     """
     rankers = []
@@ -339,22 +304,33 @@ def train_initial_rankers(features: list[np.ndarray], config: TrainConfig,
         rng = stream(master_seed, _RANKERS, i)
         feats = list_features.reshape(-1, 2 * d)
         affinity = (feats[:, None, :d] @ feats[:, d:, None])[:, 0, 0]
-        targets = affinity + LABEL_NOISE * rng.standard_normal(len(feats))
-        ranker = InitialRanker(2 * d, RANKER_HIDDEN, rng)
-        ranker.train(feats, targets, config.ranker_epochs, RANKER_LR, rng)
-        rankers.append(ranker)
+        targets = (affinity + LABEL_NOISE * rng.standard_normal(len(feats)))[:, None]
+        net = Mlp(weights=[Tensor(glorot(rng, (2 * d, RANKER_HIDDEN)), requires_grad=True),
+                           Tensor(glorot(rng, (RANKER_HIDDEN, 1)), requires_grad=True)],
+                  biases=[Tensor(np.zeros(RANKER_HIDDEN), requires_grad=True),
+                          Tensor(np.zeros(1), requires_grad=True)])
+
+        def loss_of(idx: np.ndarray) -> Tensor:
+            err = mlp(Tensor(feats[idx]), net) - Tensor(targets[idx])
+            return (err * err).sum() / len(idx)
+
+        ag.fit(net.weights + net.biases, loss_of, len(feats), RANKER_BATCH,
+               config.ranker_epochs, rng, ag.AdamState(lr=RANKER_LR))
+        rankers.append(net)
     return rankers
 
 
-def initial_rank(pages: list[PageRecord], rankers: list[InitialRanker],
+def initial_rank(pages: list[PageRecord], rankers: list[Mlp],
                  features: list[np.ndarray]) -> None:
     """Set every list's display order to its ranker's descending scores.
 
     Each ranker scores its list position on all pages, from that list's
     `_ranker_features`, in one batch.
     """
-    for i, (ranker, list_features) in enumerate(zip(rankers, features)):
-        orders = np.argsort(-ranker.scores(list_features), axis=1, kind="stable").tolist()
+    for i, (net, list_features) in enumerate(zip(rankers, features)):
+        with ag.no_grad():
+            scores = mlp(Tensor(list_features), net).values[..., 0]
+        orders = np.argsort(-scores, axis=1, kind="stable").tolist()
         for page, order in zip(pages, orders):
             page.lists[i].init_order = order
 

@@ -185,9 +185,6 @@ class ParModel:
     def params(self) -> dict[str, Tensor]:
         return self._params
 
-    def param_names(self) -> list[str]:
-        return list(self._params)
-
     def zero_grads(self) -> None:
         for p in self._params.values():
             p.grad = None

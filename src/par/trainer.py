@@ -1,4 +1,4 @@
-"""Training loop, checkpointing, evaluation pipeline, and gradient audit.
+"""Training, checkpointing, evaluation pipeline, and gradient audit.
 
 Everything is deterministic given (seed, config, dataset): parameter init,
 shuffle order, and click sampling all come from seeds derived off the config
@@ -8,7 +8,6 @@ seed, and batch reductions run in a fixed order.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import struct
 from dataclasses import dataclass, field
@@ -17,18 +16,16 @@ from pathlib import Path
 import numpy as np
 
 from . import autograd as ag
-from .autograd import AdamState, GradCheckReport, adam_step, finite_diff_check
+from .autograd import AdamState, GradCheckReport, finite_diff_check
 from .config import TrainConfig, config_from_dict
 from .data_oracle import (Catalog, ClickOracle, PageRecord, atomic_write, displayed_grid,
                           pages_to_batch)
 from .data_oracle import stream as _rng
 from .embedding import PageBatch
-from .errors import ConfigError, ContractError, DataError, NumericError
+from .errors import ConfigError, ContractError, DataError
 from .metrics import MetricReport, compute_report
 from .model import ParModel
 from .scoring import rerank
-
-log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"PARCKPT1"
 
@@ -133,8 +130,8 @@ def validate_dataset(config: TrainConfig, pages: list[PageRecord], catalog: Cata
         raise ConfigError("empty page set")
     vocab = catalog.vocab_size
     for k, page in enumerate(pages):
-        if page.history and not 0 <= min(page.history) <= max(page.history) < vocab:
-            raise DataError(f"page {k} history holds item ids outside 0..{vocab - 1}")
+        if page.history and not 1 <= min(page.history) <= max(page.history) < vocab:
+            raise DataError(f"page {k} history holds item ids outside 1..{vocab - 1}")
         if len(page.lists) != layout.n:
             raise ConfigError(f"page {k} has {len(page.lists)} lists, config expects {layout.n}")
         for i, lst in enumerate(page.lists):
@@ -161,31 +158,10 @@ def train(config: TrainConfig, pages: list[PageRecord], catalog: Catalog) -> Che
     layout = config.build_layout()
     model = ParModel(config, layout, config.seed)
     data = pages_to_batch(pages, catalog, layout, config.t)
-    shuffle = _rng(config.seed, _SHUFFLE)
-    state = AdamState(lr=config.learning_rate, l2=config.l2)
-    names = model.param_names()
-
-    loss_history: list[float] = []
-    for epoch in range(config.epochs):
-        order = shuffle.permutation(data.size)
-        total, weight = 0.0, 0
-        for step, start in enumerate(range(0, data.size, config.batch_size), 1):
-            idx = order[start:start + config.batch_size]
-            sub = data.select(idx)
-            model.zero_grads()
-            try:  # numpy raises FloatingPointError too, under `par`'s np.errstate
-                loss, _ = model.loss(sub)
-                if not np.isfinite(loss.values):
-                    raise FloatingPointError(f"non-finite loss {float(loss.values)}")
-                ag.backward(loss)
-                adam_step([model.params[k] for k in names],
-                          [model.params[k].grad for k in names], state)
-            except FloatingPointError as exc:
-                raise NumericError(f"{exc} at epoch {epoch + 1}, step {step}") from None
-            total += float(loss.values) * len(idx)
-            weight += len(idx)
-        loss_history.append(total / weight)
-        log.info("epoch %d/%d: mean loss %.6f", epoch + 1, config.epochs, loss_history[-1])
+    loss_history = ag.fit(list(model.params.values()),
+                          lambda idx: model.loss(data.select(idx))[0], data.size,
+                          config.batch_size, config.epochs, _rng(config.seed, _SHUFFLE),
+                          AdamState(lr=config.learning_rate, l2=config.l2))
     return _snapshot(model, config, config.epochs, loss_history)
 
 

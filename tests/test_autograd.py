@@ -8,7 +8,9 @@ import pytest
 
 from par import autograd as ag
 from par.autograd import AdamState, Tensor, adam_step, finite_diff_check
-from par.errors import ContractError, DimensionError
+from par.config import TrainConfig
+from par.data_oracle import train_initial_rankers
+from par.errors import ContractError, DimensionError, NumericError
 
 
 def fd_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -416,6 +418,60 @@ class TestAdam:
         p = Tensor(np.zeros(2), requires_grad=True)
         with pytest.raises(ContractError):
             adam_step([p], [np.zeros(2), np.zeros(2)], AdamState())
+
+
+class TestFit:
+    @staticmethod
+    def quadratic(rows: int):
+        """A 2-vector fit to `rows` target rows; `calls` logs each step's rows and loss."""
+        targets = np.random.default_rng(5).standard_normal((rows, 2))
+        w = Tensor(np.zeros(2), requires_grad=True)
+        calls = []
+
+        def loss_of(idx):
+            err = w - Tensor(targets[idx])
+            loss = (err * err).sum() / len(idx)
+            calls.append((idx.copy(), float(loss.values)))
+            return loss
+
+        return w, loss_of, calls
+
+    def test_one_row_weighted_mean_per_epoch(self):
+        w, loss_of, calls = self.quadratic(10)
+        means = ag.fit([w], loss_of, 10, 4, 3, np.random.default_rng(0), AdamState(lr=0.1))
+        assert len(means) == 3 and len(calls) == 9
+        shuffle = np.random.default_rng(0)
+        for epoch, mean in enumerate(means):
+            steps = calls[3 * epoch:3 * epoch + 3]
+            np.testing.assert_array_equal(np.concatenate([idx for idx, _ in steps]),
+                                          shuffle.permutation(10))
+            assert [len(idx) for idx, _ in steps] == [4, 4, 2]
+            assert mean == sum(len(idx) * loss for idx, loss in steps) / 10
+        assert means[2] < means[0]
+
+    @pytest.mark.parametrize("fault", ["nan", "overflow"])
+    def test_numeric_fault_names_its_epoch_and_step(self, fault):
+        w, loss_of, calls = self.quadratic(10)
+        state = AdamState(lr=0.1)
+
+        def faulty(idx):
+            loss = loss_of(idx)
+            if len(calls) < 5:  # the fifth step is epoch 2, step 2
+                return loss
+            return loss * np.nan if fault == "nan" else loss * 1e300 * 1e300
+
+        with np.errstate(over="raise"), pytest.raises(NumericError) as caught:
+            ag.fit([w], faulty, 10, 4, 3, np.random.default_rng(0), state)
+        assert str(caught.value).endswith(" at epoch 2, step 2")
+        assert ("non-finite loss nan" if fault == "nan" else "overflow") in str(caught.value)
+        assert state.step == 4
+
+    def test_nan_ranker_feature_stops_training(self):
+        config = TrainConfig(true_dim=4, ranker_epochs=2)
+        features = [np.random.default_rng(6).standard_normal((5, 3, 8))]
+        features[0][2, 1, 3] = np.nan
+        with pytest.raises(NumericError, match="non-finite loss nan at epoch 1, step 1$"):
+            train_initial_rankers(features, config, master_seed=0)
 
 
 class TestFiniteDiffCheck:

@@ -147,7 +147,7 @@ class TestConfigFile:
     def test_variant_key_builds_that_model(self):
         config = parse_config_text(TINY_CONFIG + "variant = PAR-SSA\n")
         assert config.variant_name() == "PAR-SSA"
-        names = ParModel(config, config.build_layout(), config.seed).param_names()
+        names = list(ParModel(config, config.build_layout(), config.seed).params)
         assert "emb.item" in names
         assert not any(name.startswith("ss.") for name in names)
 
@@ -284,6 +284,22 @@ class TestAblateCommand:
             assert main(["ablate", "--config", str(config), "--data", str(data),
                          "--variants", "PAR-DN", "--out", str(root / name)]) == 0
         assert (root / "abl_a.csv").read_bytes() == (root / "abl_b.csv").read_bytes()
+
+    def test_diverging_variant_keeps_its_error_kind(self, workspace, tmp_path):
+        root, config, data = workspace
+        diverging = tmp_path / "diverging.cfg"
+        diverging.write_text(TINY_CONFIG.replace("learning_rate = 0.001", "learning_rate = 1e300"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(["ablate", "--config", str(diverging), "--data", str(data),
+                             "--variants", "PAR-DN", "--out", str(tmp_path / "ablation")])
+        lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+        assert code == 1
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: NumericError: variant PAR (seed 0) failed: "), lines
+        assert lines[0].endswith("at epoch 1, step 2"), lines
+        assert not (tmp_path / "ablation.csv").exists()
 
     def test_unknown_variant_rejected(self, workspace, capsys):
         root, config, data = workspace

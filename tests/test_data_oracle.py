@@ -6,16 +6,17 @@ import json
 import numpy as np
 import pytest
 
+from par import autograd as ag
 from par.autograd import Tensor
 from par.config import TrainConfig
-from par.data_oracle import (Catalog, ClickOracle, InitialRanker, ListRecord, PageRecord,
-                             build_dataset, generate_page, generate_pages, label_pages,
+from par.data_oracle import (Catalog, ClickOracle, ListRecord, PageRecord, build_dataset,
+                             generate_page, generate_pages, initial_rank, label_pages,
                              load_catalog, load_pages, make_user, page_grids,
                              pages_from_jsonl, pages_to_batch, pages_to_jsonl, write_catalog,
                              write_pages)
 from par.errors import DataError
 from par.layout import fshape_preset, manhattan_distance_matrix, stacked_preset
-from par.scoring import mlp
+from par.scoring import Mlp, mlp
 
 
 def small_config(**overrides) -> TrainConfig:
@@ -277,17 +278,29 @@ class TestInitialRanking:
 
     def test_scores_equal_training_forward(self):
         rng = np.random.default_rng(13)
-        ranker = InitialRanker(6, 5, rng)
-        for p in ranker.params:
-            p.values = rng.uniform(-1, 1, p.shape)
+        net = Mlp(weights=[Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+                           for shape in ((6, 5), (5, 1))],
+                  biases=[Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+                          for shape in ((5,), (1,))])
+
+        def scores(features):  # as initial_rank scores a list position
+            with ag.no_grad():
+                return mlp(Tensor(features), net).values[..., 0]
+
         feats = rng.uniform(-1, 1, (3, 7, 6))
         rows = feats.reshape(21, 6)
-        trained = mlp(Tensor(rows), ranker.net).values[:, 0]
-        np.testing.assert_array_equal(ranker.scores(rows), trained)
+        trained = mlp(Tensor(rows), net).values[:, 0]
+        np.testing.assert_array_equal(scores(rows), trained)
         # one batched call scores each row as it would alone
         for row in range(3):
-            np.testing.assert_allclose(ranker.scores(feats)[row], ranker.scores(feats[row]),
+            np.testing.assert_allclose(scores(feats)[row], scores(feats[row]),
                                        rtol=0, atol=1e-12)
+        pages = [PageRecord(user_id=k, history=[], lists=[
+            ListRecord(theme=1, items=list(range(1, 8)), rel=[0] * 7, init_order=[])])
+            for k in range(3)]
+        initial_rank(pages, [net], [feats])
+        assert [page.lists[0].init_order for page in pages] == \
+            np.argsort(-scores(feats), axis=1, kind="stable").tolist()
 
     def test_initial_ranking_beats_random_on_relevance(self):
         config = small_config(train_pages=80, test_pages=20, ranker_epochs=4)

@@ -65,8 +65,8 @@ class TestForward:
         config = tiny_config()
         m1 = ParModel(config, config.build_layout(), (7))
         m2 = ParModel(config, config.build_layout(), (7))
-        assert m1.param_names() == m2.param_names()
-        for name in m1.param_names():
+        assert list(m1.params) == list(m2.params)
+        for name in list(m1.params):
             np.testing.assert_array_equal(m1.params[name].values, m2.params[name].values)
 
 
@@ -74,7 +74,7 @@ class TestParameterInventory:
     def test_full_model_groups(self):
         config = tiny_config()
         model = ParModel(config, config.build_layout(), (2))
-        names = model.param_names()
+        names = list(model.params)
         for prefix in ("emb.", "hds.", "ss.", "dense.", "moe."):
             assert any(name.startswith(prefix) for name in names)
         assert not any(name.startswith("head.") for name in names)
@@ -82,36 +82,36 @@ class TestParameterInventory:
     def test_ssa_removes_all_spatial_params(self):
         config = with_variant(tiny_config(), "PAR-SSA")
         model = ParModel(config, config.build_layout(), (3))
-        assert not any(name.startswith("ss.") for name in model.param_names())
+        assert not any(name.startswith("ss.") for name in list(model.params))
 
     def test_scale_removes_steepness_only(self):
         config = with_variant(tiny_config(), "PAR-scale")
         model = ParModel(config, config.build_layout(), (4))
-        names = model.param_names()
+        names = list(model.params)
         assert "ss.v" not in names
         assert "ss.w_q" in names
 
     def test_dsa_removes_dual_side_weights_keeps_aggregation(self):
         config = with_variant(tiny_config(), "PAR-DSA")
         model = ParModel(config, config.build_layout(), (5))
-        names = model.param_names()
+        names = list(model.params)
         assert not any(name in names for name in ("hds.w_a", "hds.w_x", "hds.w_h"))
         assert "hds.q_item" in names
 
     def test_hdsa_removes_whole_module(self):
         config = with_variant(tiny_config(), "PAR-HDSA")
         model = ParModel(config, config.build_layout(), (6))
-        assert not any(name.startswith("hds.") for name in model.param_names())
+        assert not any(name.startswith("hds.") for name in list(model.params))
 
     def test_dn_removes_dense(self):
         config = with_variant(tiny_config(), "PAR-DN")
         model = ParModel(config, config.build_layout(), (7))
-        assert not any(name.startswith("dense.") for name in model.param_names())
+        assert not any(name.startswith("dense.") for name in list(model.params))
 
     def test_mmoe_swaps_head(self):
         config = with_variant(tiny_config(), "PAR-MMoE")
         model = ParModel(config, config.build_layout(), (8))
-        names = model.param_names()
+        names = list(model.params)
         assert not any(name.startswith("moe.") for name in names)
         assert any(name.startswith("head.") for name in names)
 
@@ -205,7 +205,7 @@ class TestDtypes:
         config = tiny_config()
         model = ParModel(config, config.build_layout(), 4)
         copy = model.float32_copy()
-        assert copy.param_names() == model.param_names()
+        assert list(copy.params) == list(model.params)
         for name, p in model.params.items():
             assert p.values.dtype == F64
             np.testing.assert_array_equal(copy.params[name].values, p.values.astype(np.float32))

@@ -97,10 +97,12 @@ class TestTrain:
         pages[-1].lists[1].init_order[0] = pages[-1].lists[1].init_order[1]
         with pytest.raises(DataError, match=f"page {len(pages) - 1} list 1"):
             train(config, pages, catalog)
-        pages = copy.deepcopy(train_pages)
-        pages[-1].history[0] = config.vocab_size
-        with pytest.raises(DataError, match="history holds item ids"):
-            train(config, pages, catalog)
+        for bad_id in (config.vocab_size, 0):  # 0 is the padding id, never an item
+            pages = copy.deepcopy(train_pages)
+            pages[-1].history[0] = bad_id
+            with pytest.raises(DataError, match=f"page {len(pages) - 1} history holds item "
+                                                f"ids outside 1..{config.vocab_size - 1}"):
+                train(config, pages, catalog)
 
     def test_catalog_mismatch_rejected(self, toy_dataset):
         config, catalog, train_pages, _ = toy_dataset
@@ -194,8 +196,8 @@ class TestCheckpoint:
         config, catalog, train_pages, _ = toy_dataset
         ckpt = train(config, train_pages, catalog)
         model = ckpt.build_model()
-        assert model.param_names() == ParModel(config, config.build_layout(),
-                                               config.seed).param_names()
+        assert list(model.params) == list(ParModel(config, config.build_layout(),
+                                                   config.seed).params)
         for name, p in model.params.items():
             np.testing.assert_array_equal(p.values, ckpt.tensors[name])
             assert p.values is not ckpt.tensors[name] and p.requires_grad
@@ -220,7 +222,7 @@ class TestCheckpoint:
         cfg = with_variant(config, "PAR-SSA")
         ckpt = train(cfg, train_pages, catalog)
         model = ckpt.build_model()
-        assert not any(name.startswith("ss.") for name in model.param_names())
+        assert not any(name.startswith("ss.") for name in list(model.params))
 
 
 class TestEvaluate:
