@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from par.cli import main
-from par.config import load_config
+from par.config import load_config, parse_config_text
 from par.data_oracle import build_dataset, pages_to_jsonl
 
 GOLDEN_CONFIG = """\
@@ -77,6 +77,17 @@ GOLDEN_PAYLOAD_SHA256 = "c180b1ac870520d6d1827feaafa5c2450831f177b2f40bac342ed08
 # configs/desk.cfg, seed 0: catalog JSON, then the train and the test JSONL
 DESK_DATASET_SHA256 = "42930acd958bb2eade1a293baa39e1b84a52c283955799f4687f927ca09ea989"
 
+# GOLDEN_CONFIG on an F-shape page of list lengths (3, 5, 5), hashed as the desk dataset
+FSHAPE_CONFIG = """\
+layout = fshape
+v_len = 3
+h_count = 2
+h_len = 5
+n = 3
+m = 5
+""" + GOLDEN_CONFIG.split("\n", 2)[2]
+FSHAPE_DATASET_SHA256 = "f27777ab8dc996bd73dfc30680c423a9cfd693ce0cfe2f88df9ac53efb8ccc4a"
+
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
@@ -105,11 +116,21 @@ def test_checkpoint_payload_matches_golden_hash(outputs):
     assert hashlib.sha256(blob[12 + head_len:]).hexdigest() == GOLDEN_PAYLOAD_SHA256
 
 
-def test_desk_dataset_matches_golden_hash():
-    """The desk world at full size: every stream's draws and every batched pass."""
-    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "desk.cfg")
+def dataset_sha256(config) -> str:
+    """sha256 over the catalog JSON, then the train and the test JSONL."""
     catalog, train, test = build_dataset(config)
     digest = hashlib.sha256()
     for part in (catalog.to_json(), pages_to_jsonl(train), pages_to_jsonl(test)):
         digest.update(part.encode())
-    assert digest.hexdigest() == DESK_DATASET_SHA256
+    return digest.hexdigest()
+
+
+def test_desk_dataset_matches_golden_hash():
+    """The desk world at full size: every stream's draws and every batched pass."""
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "desk.cfg")
+    assert dataset_sha256(config) == DESK_DATASET_SHA256
+
+
+def test_fshape_dataset_matches_golden_hash():
+    """Ragged lists: the padding slots of the generated, ranked and labelled grids."""
+    assert dataset_sha256(parse_config_text(FSHAPE_CONFIG)) == FSHAPE_DATASET_SHA256
