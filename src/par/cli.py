@@ -135,7 +135,7 @@ def cmd_ablate(args) -> int:
             raise ConfigError(f"unknown variants: {unknown} (choose from {list(VARIANTS)})")
     else:
         requested = [v for v in VARIANTS if v != "PAR"]
-    variants = ["PAR"] + [v for v in requested if v != "PAR"]
+    variants = list(dict.fromkeys(["PAR"] + requested))  # PAR first, each name once
     seeds = [config.seed + k for k in range(config.ablate_seeds)]
 
     table = ReportTable(roles=config.build_layout().roles)

@@ -1,6 +1,7 @@
 """Run configuration: typed keys, flat `key = value` config files.
 
-Unknown keys are errors so typos cannot silently fall back to defaults.
+Unknown and repeated keys are errors so typos cannot silently fall back to
+defaults or be overridden.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def _parse_value(key: str, raw: str, kind):
 
 def parse_config_text(text: str) -> TrainConfig:
     kinds = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
-    values = {}
+    values, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -167,6 +168,9 @@ def parse_config_text(text: str) -> TrainConfig:
         key = key.strip()
         if key not in kinds:
             raise ConfigError(f"line {lineno}: unknown config key '{key}'")
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: key '{key}' repeats line {first_line[key]}")
+        first_line[key] = lineno
         values[key] = _parse_value(key, raw, kinds[key])
     return TrainConfig(**values)
 

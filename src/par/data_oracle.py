@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -208,8 +208,8 @@ class ListRecord:
     items: list[int]          # generated (pre-ranking) order
     rel: list[int]            # aligned with `items`
     init_order: list[int]     # display position k shows items[init_order[k]]
-    clicks: list[int] = field(default_factory=list)   # per display position
-    probs: list[float] = field(default_factory=list)  # per display position
+    clicks: list[int]         # per display position
+    probs: list[float]        # per display position
 
     def displayed_rel(self) -> list[int]:
         return [self.rel[k] for k in self.init_order]
@@ -222,22 +222,18 @@ class PageRecord:
     lists: list[ListRecord]
 
 
-def generate_page(catalog: Catalog, user: UserProfile, layout: PageLayout,
-                  pos_per_list: int, master_seed: int) -> PageRecord:
-    """One page for one user: `generate_pages` of that user alone."""
-    return generate_pages(catalog, [user], layout, pos_per_list, master_seed)[0]
-
-
 def generate_pages(catalog: Catalog, users: list[UserProfile], layout: PageLayout,
-                   pos_per_list: int, master_seed: int) -> list[PageRecord]:
-    """One page per user: n distinct themes, lists of layout lengths.
+                   pos_per_list: int, master_seed: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One page per user: `themes` (P, n), `items` (P, n, m) and `rel` (P, n, m).
 
     Each page draws from its own (master_seed, user) stream: a permutation
     of the user's themes (topped up from the other themes when the user has
     fewer than n), then each list's displayed candidates from its theme's
     pool. A list's relevant items are the user's top `pos_per_list` picks by
     appeal among those candidates, ties to the earlier-drawn item; they are
-    found in one pass over all pages.
+    found in one pass over all pages. Items are in generated order, and
+    padding slots hold 0.
     """
     n, lengths = layout.n, layout.lengths
     if catalog.themes < n:
@@ -269,25 +265,19 @@ def generate_pages(catalog: Catalog, users: list[UserProfile], layout: PageLayou
         appeal = catalog.appeal(latents[chunk, None, :], items[chunk])
         top = np.argsort(np.where(real, -appeal, np.inf), axis=-1, kind="stable")
         np.put_along_axis(rel[chunk], top[..., :pos_per_list], 1, axis=-1)
-
-    theme_rows, item_rows, rel_rows = themes.tolist(), items.tolist(), rel.tolist()
-    return [PageRecord(user.user_id, user.history.tolist(), [
-        ListRecord(theme=theme_rows[p][i], items=item_rows[p][i][:length],
-                   rel=rel_rows[p][i][:length], init_order=list(range(length)))
-        for i, length in enumerate(lengths)]) for p, user in enumerate(users)]
+    return themes, items, rel
 
 
 # -- initial rankers ----------------------------------------------------------
 
 
-def _ranker_features(pages: list[PageRecord], users: dict[int, UserProfile],
-                    catalog: Catalog) -> list[np.ndarray]:
-    """[user latent, item true embedding] rows of each list: (pages, items, 2*true_dim)."""
-    latents = np.stack([users[page.user_id].latent for page in pages])[:, None, :]
+def _ranker_features(latents: np.ndarray, items: np.ndarray, layout: PageLayout,
+                     catalog: Catalog) -> list[np.ndarray]:
+    """[user latent, item true embedding] rows of each list: (P, length, 2*true_dim)."""
     features = []
-    for i in range(len(pages[0].lists) if pages else 0):
-        emb = catalog.true_emb[np.array([page.lists[i].items for page in pages])]
-        features.append(np.concatenate([np.broadcast_to(latents, emb.shape), emb], axis=-1))
+    for i, length in enumerate(layout.lengths):
+        emb = catalog.true_emb[items[:, i, :length]]
+        features.append(np.concatenate([np.broadcast_to(latents[:, None], emb.shape), emb], -1))
     return features
 
 
@@ -320,19 +310,19 @@ def train_initial_rankers(features: list[np.ndarray], config: TrainConfig,
     return rankers
 
 
-def initial_rank(pages: list[PageRecord], rankers: list[Mlp],
-                 features: list[np.ndarray]) -> None:
-    """Set every list's display order to its ranker's descending scores.
+def initial_rank(rankers: list[Mlp], features: list[np.ndarray], m: int) -> np.ndarray:
+    """(P, n, m) display orders: each list's ranker's descending scores.
 
-    Each ranker scores its list position on all pages, from that list's
-    `_ranker_features`, in one batch.
+    Display slot k of list i shows generated slot `orders[p, i, k]`, and a
+    padding slot keeps its own index. Each ranker scores its list position
+    on all pages, from that list's `_ranker_features`, in one batch.
     """
+    orders = np.tile(np.arange(m), (len(features[0]), len(features), 1))
     for i, (net, list_features) in enumerate(zip(rankers, features)):
         with ag.no_grad():
             scores = mlp(Tensor(list_features), net).values[..., 0]
-        orders = np.argsort(-scores, axis=1, kind="stable").tolist()
-        for page, order in zip(pages, orders):
-            page.lists[i].init_order = order
+        orders[:, i, :scores.shape[1]] = np.argsort(-scores, axis=1, kind="stable")
+    return orders
 
 
 # -- oracle click model --------------------------------------------------------
@@ -415,32 +405,19 @@ class ClickOracle:
         return (rng.random(probs.shape) < probs).astype(np.int64)
 
 
-def label_pages(pages: list[PageRecord], oracle: ClickOracle, master_seed: int) -> None:
-    """Fill oracle probabilities and sampled clicks for the displayed order.
+def label_pages(items: np.ndarray, rel: np.ndarray, mask: np.ndarray, oracle: ClickOracle,
+                master_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P, n, m) oracle probabilities and sampled clicks of displayed grids.
 
     One oracle call scores every page; each page draws the uniforms of its
     clicks from its own (master_seed, page index) stream, and one comparison
     turns them all into clicks.
     """
-    layout = oracle.layout
-    probs = oracle.click_prob(*page_grids(pages, layout))
+    probs = oracle.click_prob(items, rel, mask)
     uniforms = np.empty(probs.shape)
-    for idx in range(len(pages)):
+    for idx in range(len(probs)):
         uniforms[idx] = stream(master_seed, _LABELS, idx).random(probs.shape[1:])
-    prob_rows = probs.tolist()
-    click_rows = (uniforms < probs).astype(np.int64).tolist()
-    for page, page_probs, page_clicks in zip(pages, prob_rows, click_rows):
-        for i, lst in enumerate(page.lists):
-            length = layout.lengths[i]
-            lst.probs = page_probs[i][:length]
-            lst.clicks = page_clicks[i][:length]
-
-
-def page_grids(pages: list[PageRecord], layout: PageLayout
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(items, rel, mask) grids of the pages as currently displayed: (P, n, m) each."""
-    return (displayed_grid(pages, layout, "items"), displayed_grid(pages, layout, "rel"),
-            slot_mask(layout, len(pages)))
+    return probs, (uniforms < probs).astype(np.int64)
 
 
 def displayed_grid(pages: list[PageRecord], layout: PageLayout, field: str) -> np.ndarray:
@@ -555,25 +532,42 @@ def load_catalog(path: str | Path) -> Catalog:
 
 
 def build_dataset(config: TrainConfig) -> tuple[Catalog, list[PageRecord], list[PageRecord]]:
-    """Generate catalog, train/test pages, initial rankings, and click labels."""
+    """Generate catalog, train/test pages, initial rankings, and click labels.
+
+    Every stage works on (P, n, m) grids of all pages; the records are made
+    once, at the end.
+    """
     layout = config.build_layout()
-    seed = config.seed
+    seed, cut = config.seed, config.train_pages
     catalog = Catalog.build(config.themes, config.items_per_theme, config.true_dim, seed)
-    total = config.train_pages + config.test_pages
     users = [make_user(catalog, uid, config.user_themes, config.t, seed)
-             for uid in range(1, total + 1)]
-    pages = generate_pages(catalog, users, layout, config.pos_per_list, seed)
-    train, test = pages[:config.train_pages], pages[config.train_pages:]
+             for uid in range(1, cut + config.test_pages + 1)]
+    themes, items, rel = generate_pages(catalog, users, layout, config.pos_per_list, seed)
 
     # every list's ranker features are built once; the train split is their prefix
-    features = _ranker_features(pages, {u.user_id: u for u in users}, catalog)
-    rankers = train_initial_rankers([f[:len(train)] for f in features], config, seed)
-    initial_rank(pages, rankers, features)
+    features = _ranker_features(np.stack([u.latent for u in users]), items, layout, catalog)
+    rankers = train_initial_rankers([f[:cut] for f in features], config, seed)
+    orders = initial_rank(rankers, features, layout.m)
 
     oracle = ClickOracle(catalog, layout)
-    label_pages(train, oracle, seed)
-    label_pages(test, oracle, seed + 1)
-    return catalog, train, test
+    shown_items, shown_rel = (np.take_along_axis(grid, orders, -1) for grid in (items, rel))
+    mask = slot_mask(layout, len(users))
+    train = label_pages(shown_items[:cut], shown_rel[:cut], mask[:cut], oracle, seed)
+    test = label_pages(shown_items[cut:], shown_rel[cut:], mask[cut:], oracle, seed + 1)
+    probs, clicks = (np.concatenate(pair) for pair in zip(train, test))
+    pages = _page_records(users, layout, themes, items, rel, orders, clicks, probs)
+    return catalog, pages[:cut], pages[cut:]
+
+
+def _page_records(users: list[UserProfile], layout: PageLayout, themes: np.ndarray,
+                  items: np.ndarray, rel: np.ndarray, orders: np.ndarray,
+                  clicks: np.ndarray, probs: np.ndarray) -> list[PageRecord]:
+    """Each user's page as a record, every list cut to its length; one `tolist()` per grid."""
+    theme_rows = themes.tolist()
+    grids = [grid.tolist() for grid in (items, rel, orders, clicks, probs)]
+    return [PageRecord(user.user_id, user.history.tolist(), [
+        ListRecord(theme_rows[p][i], *(rows[p][i][:length] for rows in grids))
+        for i, length in enumerate(layout.lengths)]) for p, user in enumerate(users)]
 
 
 def examination_start(clicks: np.ndarray, mask: np.ndarray) -> np.ndarray:

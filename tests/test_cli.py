@@ -129,6 +129,21 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="line 1"):
             parse_config_text("just some words\n")
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"^line 3: key 'epochs' repeats line 1$"):
+            parse_config_text("epochs = 6\nbatch_size = 64\nepochs = 1\n")
+
+    def test_repeated_key_single_line_error(self, workspace, tmp_path, capsys):
+        root, config, data = workspace
+        bad = tmp_path / "repeated.cfg"
+        bad.write_text(TINY_CONFIG + "epochs = 1\n")
+        capsys.readouterr()
+        assert main(["train", "--config", str(bad), "--data", str(data),
+                     "--out", str(tmp_path / "x.ckpt")]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == "error: ConfigError: line 26: key 'epochs' repeats line 23", err
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_readme_configuration_names_every_key(self):
         """README's Configuration section names each config key, and no other."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -277,6 +292,20 @@ class TestAblateCommand:
         agg_rows = [r for r in rows if r[-2] in ("mean", "std")]
         assert len(agg_rows) == 6
 
+    def test_repeated_variant_trained_once(self, workspace, tmp_path, monkeypatch, capsys):
+        root, config, data = workspace
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        out = tmp_path / "ablation"
+        capsys.readouterr()
+        assert main(["ablate", "--config", str(config), "--data", str(data),
+                     "--variants", "PAR-DN,PAR-DN", "--out", str(out)]) == 0
+        assert "(2 variants x 1 seeds)" in capsys.readouterr().out
+        rows = [line.split(",") for line in
+                (tmp_path / "ablation.csv").read_text().strip().split("\n")[1:]]
+        assert sorted(r[0] for r in rows if r[-2] not in ("mean", "std")) == ["PAR", "PAR-DN"]
+        aggregates = sorted(r[0] for r in rows if r[-2] in ("mean", "std"))
+        assert aggregates == ["PAR", "PAR", "PAR-DN", "PAR-DN"]
+
     def test_identical_seed_identical_tables(self, workspace, monkeypatch):
         root, config, data = workspace
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
@@ -374,7 +403,9 @@ class TestErrorSurface:
                                                     message):
         root, config, data = workspace
         bad = tmp_path / "bad.cfg"
-        bad.write_text(TINY_CONFIG + line + "\n")
+        key = line.split(" = ")[0]  # a key TINY_CONFIG sets takes the new value in place
+        kept = [row for row in TINY_CONFIG.splitlines() if not row.startswith(key + " = ")]
+        bad.write_text("\n".join(kept + [line]) + "\n")
         capsys.readouterr()
         assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "base")]) == 1
         self._single_error_line(capsys, "ConfigError", message)

@@ -1,19 +1,18 @@
 """Synthetic page construction and the oracle click model."""
 
-import copy
 import json
 
 import numpy as np
 import pytest
 
 from par import autograd as ag
+from par import data_oracle
 from par.autograd import Tensor
 from par.config import TrainConfig
-from par.data_oracle import (Catalog, ClickOracle, ListRecord, PageRecord, build_dataset,
-                             generate_page, generate_pages, initial_rank, label_pages,
-                             load_catalog, load_pages, make_user, page_grids,
-                             pages_from_jsonl, pages_to_batch, pages_to_jsonl, write_catalog,
-                             write_pages)
+from par.data_oracle import (Catalog, ClickOracle, build_dataset, displayed_grid,
+                             generate_pages, initial_rank, label_pages, load_catalog,
+                             load_pages, make_user, pages_from_jsonl, pages_to_batch,
+                             pages_to_jsonl, slot_mask, write_catalog, write_pages)
 from par.errors import DataError
 from par.layout import fshape_preset, manhattan_distance_matrix, stacked_preset
 from par.scoring import Mlp, mlp
@@ -46,40 +45,49 @@ def reference_make_user(catalog, user_id, user_themes, t, master_seed):
 
 
 def reference_generate_page(catalog, user, layout, pos_per_list, master_seed):
-    """generate_page as a per-list loop: the reference for the batched version."""
+    """One page of generate_pages as a per-list loop: the reference for the batched version.
+
+    Returns that page's (n,) themes and (n, m) items and rel, 0 on padding slots.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, 0x9A6E, user.user_id]))
     n = layout.n
     chosen = list(rng.permutation(user.themes)[:n])
     if len(chosen) < n:
         others = [th for th in range(1, catalog.themes + 1) if th not in chosen]
         chosen += list(rng.permutation(others)[:n - len(chosen)])
-    lists = []
+    items = np.zeros((n, layout.m), dtype=np.int64)
+    rel = np.zeros((n, layout.m), dtype=np.int64)
     for i, theme in enumerate(chosen):
         length = layout.lengths[i]
         pool = catalog.theme_pool(int(theme))
-        items = rng.choice(pool, size=length, replace=False)
-        appeal = catalog.appeal(user.latent, items)
+        items[i, :length] = rng.choice(pool, size=length, replace=False)
+        appeal = catalog.appeal(user.latent, items[i, :length])
         threshold = np.sort(appeal)[::-1][pos_per_list - 1]
-        rel = (appeal >= threshold).astype(np.int64)
-        if rel.sum() > pos_per_list:  # appeal ties, keep exactly pos_per_list
+        marked = (appeal >= threshold).astype(np.int64)
+        if marked.sum() > pos_per_list:  # appeal ties, keep exactly pos_per_list
             extra = np.where(appeal == threshold)[0]
-            rel[extra[rel.sum() - pos_per_list:]] = 0
-        lists.append(ListRecord(theme=int(theme), items=[int(x) for x in items],
-                                rel=[int(x) for x in rel], init_order=list(range(length))))
-    return PageRecord(user.user_id, [int(x) for x in user.history], lists)
+            marked[extra[marked.sum() - pos_per_list:]] = 0
+        rel[i, :length] = marked
+    return np.array(chosen), items, rel
 
 
-def reference_label_pages(pages, oracle, master_seed):
-    """label_pages with a per-page draw and comparison: the batched version's reference."""
-    layout = oracle.layout
-    probs = oracle.click_prob(*page_grids(pages, layout))
-    for idx, (page, page_probs) in enumerate(zip(pages, probs)):
+def reference_label_pages(items, rel, mask, oracle, master_seed):
+    """label_pages as one oracle call, draw and comparison per page: its reference."""
+    probs = np.empty(items.shape)
+    clicks = np.empty(items.shape, dtype=np.int64)
+    for idx in range(len(items)):
+        probs[idx] = oracle.click_prob(items[idx], rel[idx], mask[idx])
         rng = np.random.default_rng(np.random.SeedSequence([master_seed, 0xC11C, idx]))
-        clicks = oracle.sample_clicks(page_probs, rng)
-        for i, lst in enumerate(page.lists):
-            length = layout.lengths[i]
-            lst.probs = [float(x) for x in page_probs[i][:length]]
-            lst.clicks = [int(x) for x in clicks[i][:length]]
+        clicks[idx] = oracle.sample_clicks(probs[idx], rng)
+    return probs, clicks
+
+
+def random_orders(layout, count, rng):
+    """(count, n, m) display orders: a random permutation of each list, padding in place."""
+    orders = np.tile(np.arange(layout.m), (count, layout.n, 1))
+    for i, length in enumerate(layout.lengths):
+        orders[:, i, :length] = np.argsort(rng.random((count, length)), axis=1)
+    return orders
 
 
 def reference_click_prob(catalog, layout, eta1, eta2, items, rel, mask):
@@ -142,34 +150,32 @@ class TestPageGeneration:
         cat = Catalog.build(config.themes, config.items_per_theme, config.true_dim, 3)
         layout = stacked_preset(config.n, config.m)
         users = [make_user(cat, uid, config.user_themes, config.t, 3) for uid in range(1, 9)]
-        pages = generate_pages(cat, users, layout, config.pos_per_list, 3)
-        for page in pages:
-            themes = [lst.theme for lst in page.lists]
-            assert len(set(themes)) == len(themes)
-            for lst in page.lists:
-                assert sum(lst.rel) == config.pos_per_list
-                assert len(lst.items) == config.m
-                assert len(set(lst.items)) == len(lst.items)
-                assert all(cat.item_theme[i] == lst.theme for i in lst.items)
+        themes, items, rel = generate_pages(cat, users, layout, config.pos_per_list, 3)
+        assert themes.shape == (8, config.n)
+        assert items.shape == rel.shape == (8, config.n, config.m)
+        for p in range(len(users)):
+            assert len(set(themes[p].tolist())) == config.n
+            for i in range(config.n):
+                assert rel[p, i].sum() == config.pos_per_list
+                assert len(set(items[p, i].tolist())) == config.m
+                assert (cat.item_theme[items[p, i]] == themes[p, i]).all()
 
     def test_relevant_items_are_most_appealing_among_shown(self):
         config = small_config()
         cat = Catalog.build(config.themes, config.items_per_theme, config.true_dim, 4)
         user = make_user(cat, 1, config.user_themes, config.t, 4)
-        page = generate_page(cat, user, stacked_preset(config.n, config.m),
-                             config.pos_per_list, 4)
-        for lst in page.lists:
-            appeal = cat.appeal(user.latent, np.asarray(lst.items))
-            marked = [k for k, r in enumerate(lst.rel) if r == 1]
-            unmarked = [k for k, r in enumerate(lst.rel) if r == 0]
-            assert len(marked) == config.pos_per_list
-            assert min(appeal[marked]) >= max(appeal[unmarked])
+        _, items, rel = generate_pages(cat, [user], stacked_preset(config.n, config.m),
+                                       config.pos_per_list, 4)
+        for list_items, list_rel in zip(items[0], rel[0]):
+            appeal = cat.appeal(user.latent, list_items)
+            assert list_rel.sum() == config.pos_per_list
+            assert min(appeal[list_rel == 1]) >= max(appeal[list_rel == 0])
 
     def test_pool_too_small(self):
         cat = Catalog.build(themes=2, items_per_theme=3, true_dim=4, seed=5)
         user = make_user(cat, 1, 2, 2, 5)
         with pytest.raises(DataError):
-            generate_page(cat, user, stacked_preset(2, 5), 1, 5)
+            generate_pages(cat, [user], stacked_preset(2, 5), 1, 5)
 
     def test_fixed_seed_reproducible_bytes(self):
         config = small_config()
@@ -214,10 +220,13 @@ class TestDrawsInOrder:
         config, cat, users = self.world(layout, seed)
         lay = config.build_layout()
         assert lay.n > config.user_themes  # every page tops its themes up from the others
-        pages = generate_pages(cat, users, lay, config.pos_per_list, seed)
-        assert pages == [reference_generate_page(cat, u, lay, config.pos_per_list, seed)
-                         for u in users]
-        assert generate_page(cat, users[4], lay, config.pos_per_list, seed) == pages[4]
+        grids = generate_pages(cat, users, lay, config.pos_per_list, seed)
+        pages = [reference_generate_page(cat, u, lay, config.pos_per_list, seed) for u in users]
+        for grid, expected in zip(grids, zip(*pages)):
+            np.testing.assert_array_equal(grid, np.stack(expected))
+        alone = generate_pages(cat, users[4:5], lay, config.pos_per_list, seed)
+        for grid, page in zip(grids, alone):
+            np.testing.assert_array_equal(page, grid[4:5])
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("seed", [0, 6, 7919])
@@ -225,25 +234,24 @@ class TestDrawsInOrder:
         config, cat, users = self.world(layout, seed)
         lay = config.build_layout()
         oracle = ClickOracle(cat, lay)
-        pages = generate_pages(cat, users, lay, config.pos_per_list, seed)
-        rng = np.random.default_rng(seed)
-        for page in pages:  # a mix of ranked and generated orders
-            for lst in page.lists:
-                lst.init_order = rng.permutation(len(lst.items)).tolist()
-        expected = copy.deepcopy(pages)
-        label_pages(pages, oracle, seed)
-        reference_label_pages(expected, oracle, seed)
-        assert pages == expected
-        assert any(c for page in pages for lst in page.lists for c in lst.clicks)
+        _, items, rel = generate_pages(cat, users, lay, config.pos_per_list, seed)
+        orders = random_orders(lay, len(users), np.random.default_rng(seed))
+        shown = [np.take_along_axis(grid, orders, -1) for grid in (items, rel)]
+        mask = slot_mask(lay, len(users))
+        probs, clicks = label_pages(*shown, mask, oracle, seed)
+        want_probs, want_clicks = reference_label_pages(*shown, mask, oracle, seed)
+        np.testing.assert_array_equal(probs, want_probs)
+        np.testing.assert_array_equal(clicks, want_clicks)
+        assert clicks.dtype == np.int64 and clicks.any()
+        assert not clicks[mask == 0].any()
 
     def test_relevant_ties_go_to_the_earlier_drawn_item(self):
         cat = Catalog.build(2, 6, 4, seed=1)
         cat.true_emb[1:] = cat.true_emb[1]  # every item equally appealing
         cat.quality[1:] = 0.0
         user = make_user(cat, 1, 2, 3, 1)
-        page = generate_page(cat, user, stacked_preset(2, 4), 2, 1)
-        for lst in page.lists:
-            assert lst.rel == [1, 1, 0, 0]
+        _, _, rel = generate_pages(cat, [user], stacked_preset(2, 4), 2, 1)
+        assert rel[0].tolist() == [[1, 1, 0, 0]] * 2
 
     @pytest.mark.parametrize("high", [(5, 5), (3, 5), (8, 5), (1, 5), (2**31, 5), (2, 1)])
     def test_array_high_integers_equal_scalar_calls(self, high):
@@ -266,6 +274,47 @@ class TestDrawsInOrder:
             assert (one.choice(50, size=10, replace=False) + 101).tolist() == \
                 many.choice(np.arange(101, 151), size=10, replace=False).tolist(), seed
             assert one.random() == many.random(), seed
+
+
+class TestStagesChangeNoArgument:
+    """generate_pages, initial_rank and label_pages only return new arrays."""
+
+    @staticmethod
+    def freeze(arrays):
+        """Copies of `arrays`, which are then made read-only: a write to one raises."""
+        copies = [array.copy() for array in arrays]
+        for array in arrays:
+            array.flags.writeable = False
+        return copies
+
+    def check(self, arrays, copies, outputs):
+        for array, before in zip(arrays, copies):
+            np.testing.assert_array_equal(array, before)
+        assert not any(np.shares_memory(out, array) for out in outputs for array in arrays)
+
+    def test_stages_leave_their_inputs(self):
+        config, cat, users = TestDrawsInOrder.world("fshape", 6)
+        lay = config.build_layout()
+        inputs = [cat.item_theme, cat.true_emb, cat.quality]
+        inputs += [array for u in users for array in (u.latent, u.themes, u.history)]
+        copies = self.freeze(inputs)
+        grids = generate_pages(cat, users, lay, config.pos_per_list, 6)
+        self.check(inputs, copies, grids)
+        assert [u.user_id for u in users] == list(range(1, 31))
+
+        features = data_oracle._ranker_features(np.stack([u.latent for u in users]), grids[1],
+                                                lay, cat)
+        rankers = data_oracle.train_initial_rankers(features, config, 6)
+        inputs = features + [t.values for net in rankers for t in net.weights + net.biases]
+        copies = self.freeze(inputs)
+        orders = initial_rank(rankers, features, lay.m)
+        self.check(inputs, copies, [orders])
+
+        inputs = [np.take_along_axis(grid, orders, -1) for grid in grids[1:]]
+        inputs.append(slot_mask(lay, len(users)))
+        copies = self.freeze(inputs)
+        labels = label_pages(*inputs, ClickOracle(cat, lay), 6)
+        self.check(inputs, copies, labels)
 
 
 class TestInitialRanking:
@@ -295,12 +344,11 @@ class TestInitialRanking:
         for row in range(3):
             np.testing.assert_allclose(scores(feats)[row], scores(feats[row]),
                                        rtol=0, atol=1e-12)
-        pages = [PageRecord(user_id=k, history=[], lists=[
-            ListRecord(theme=1, items=list(range(1, 8)), rel=[0] * 7, init_order=[])])
-            for k in range(3)]
-        initial_rank(pages, [net], [feats])
-        assert [page.lists[0].init_order for page in pages] == \
-            np.argsort(-scores(feats), axis=1, kind="stable").tolist()
+        orders = initial_rank([net], [feats], 9)  # a list of 7 items on 9 slots
+        assert orders.shape == (3, 1, 9)
+        np.testing.assert_array_equal(orders[:, 0, :7],
+                                      np.argsort(-scores(feats), axis=1, kind="stable"))
+        assert orders[:, 0, 7:].tolist() == [[7, 8]] * 3  # padding keeps its own index
 
     def test_initial_ranking_beats_random_on_relevance(self):
         config = small_config(train_pages=80, test_pages=20, ranker_epochs=4)
@@ -554,15 +602,27 @@ class TestSerialization:
             batch = pages_to_batch(train, catalog, config.build_layout(), config.t)
         np.testing.assert_array_equal(batch.exam_start, np.zeros((config.n, config.m)))
 
-    def test_page_grids_follow_display_order(self):
+    def test_displayed_grids_follow_display_order(self, monkeypatch):
+        """The records hold `initial_rank`'s orders, and `displayed_grid` shows them."""
         config = small_config(layout="fshape", v_len=4, h_count=2, h_len=3, n=3, m=4)
+        ranked, rank = [], data_oracle.initial_rank
+
+        def spy(*args):  # build_dataset calls each stage through the module globals
+            ranked.append(rank(*args))
+            return ranked[-1]
+
+        monkeypatch.setattr(data_oracle, "initial_rank", spy)
         _, train, _ = build_dataset(config)
+        (orders,) = ranked
         layout = config.build_layout()
-        items, rel, mask = page_grids(train, layout)
-        assert items.shape == rel.shape == mask.shape == (len(train), 3, 4)
+        items, rel = (displayed_grid(train, layout, name) for name in ("items", "rel"))
+        mask = slot_mask(layout, len(train))
+        assert items.shape == rel.shape == mask.shape == orders[:len(train)].shape
         for p, page in enumerate(train):
             for i, lst in enumerate(page.lists):
                 length = layout.lengths[i]
+                assert lst.init_order == orders[p, i, :length].tolist()
+                assert orders[p, i, length:].tolist() == list(range(length, 4))
                 assert items[p, i, :length].tolist() == [lst.items[k] for k in lst.init_order]
                 assert rel[p, i, :length].tolist() == lst.displayed_rel()
                 assert mask[p, i].tolist() == [1.0] * length + [0.0] * (4 - length)
