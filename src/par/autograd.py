@@ -2,7 +2,9 @@
 
 The graph is define-by-run: every forward pass records closures that map the
 output gradient back to the operand gradients. Values are numpy arrays and are
-treated as immutable once a tensor is built; only the ``grad`` slot mutates.
+treated as immutable once a tensor is built; only the ``grad`` slot mutates,
+and `backward` fills it on leaves only (parameters and inputs built with
+``requires_grad``), so a step holds no gradient of an interior tensor.
 
 A graph computes in the dtype of its inputs. A float32 array stays float32;
 anything else (float64, ints, Python scalars, lists) becomes float64. A
@@ -354,6 +356,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
+EXPERT_BLOCK = 512  # rows per block of expert_mixture's backward
+
+
 def expert_mixture(z: Tensor, gamma: Tensor, weights: list[Tensor],
                    biases: list[Tensor]) -> Tensor:
     """Gate-weighted sum of E relu MLP experts that all read the same rows.
@@ -364,8 +369,10 @@ def expert_mixture(z: Tensor, gamma: Tensor, weights: list[Tensor],
 
     Because the experts share their input, the first layer of all of them is
     one (N, d_z) x (d_z, E*h1) GEMM, and so are dz and dW1 in backward; deeper
-    layers are one GEMM per expert on strided (N, E, h) column blocks. Only
-    arrays this op allocates are written in place.
+    layers are one GEMM per expert on strided (N, E, h) column blocks.
+    Backward walks the rows `EXPERT_BLOCK` at a time and sums the blocks'
+    weight and bias gradients, so of the batch's size it allocates only dz
+    and d_gamma. Only arrays this op allocates are written in place.
     """
     z, gamma = as_tensor(z), as_tensor(gamma)
     if z.ndim != 2 or gamma.ndim != 2 or gamma.shape[0] != z.shape[0]:
@@ -397,24 +404,27 @@ def expert_mixture(z: Tensor, gamma: Tensor, weights: list[Tensor],
 
     def vjp(g):
         d_gamma = np.einsum("nk,nek->ne", g, acts[-1])
-        d_act = gamma.values[:, :, None] * g[:, None, :]
-        d_ws, d_bs = [], []
-        for i in range(len(weights) - 1, 0, -1):
-            prev, w = acts[i - 1], weights[i].values
-            d_w = np.empty_like(w)
-            d_prev = np.empty_like(prev)
-            for e in range(n_experts):
-                np.matmul(prev[:, e].T, d_act[:, e], out=d_w[e])
-                np.matmul(d_act[:, e], w[e].T, out=d_prev[:, e])
-            d_ws.append(d_w)
-            d_bs.append(d_act.sum(axis=0))
-            np.multiply(d_prev, prev > 0.0, out=d_prev)
-            d_act = d_prev
-        d_first = d_act.reshape(n_rows, n_experts * h1)
-        d_w1 = (z.values.T @ d_first).reshape(d_z, n_experts, h1).transpose(1, 0, 2)
-        d_ws.append(np.ascontiguousarray(d_w1))
-        d_bs.append(d_first.sum(axis=0).reshape(n_experts, h1))
-        return (d_first @ w1_flat.T, d_gamma, *reversed(d_ws), *reversed(d_bs))
+        dz = np.empty_like(z.values)
+        d_ws = [np.zeros_like(w.values) for w in weights]
+        d_bs = [np.zeros_like(b.values) for b in biases]
+        for start in range(0, n_rows, EXPERT_BLOCK):
+            rows = slice(start, start + EXPERT_BLOCK)
+            d_act = gamma.values[rows, :, None] * g[rows, None, :]
+            for i in range(len(weights) - 1, 0, -1):
+                prev, w = acts[i - 1][rows], weights[i].values
+                d_prev = np.empty_like(prev)
+                for e in range(n_experts):
+                    d_ws[i][e] += prev[:, e].T @ d_act[:, e]
+                    np.matmul(d_act[:, e], w[e].T, out=d_prev[:, e])
+                d_bs[i] += d_act.sum(axis=0)
+                np.multiply(d_prev, prev > 0.0, out=d_prev)
+                d_act = d_prev
+            d_first = d_act.reshape(-1, n_experts * h1)
+            d_w1 = z.values[rows].T @ d_first
+            d_ws[0] += d_w1.reshape(d_z, n_experts, h1).transpose(1, 0, 2)
+            d_bs[0] += d_first.sum(axis=0).reshape(n_experts, h1)
+            np.matmul(d_first, w1_flat.T, out=dz[rows])
+        return (dz, d_gamma, *d_ws, *d_bs)
 
     return _make(out, (z, gamma, *weights, *biases), vjp)
 
@@ -510,10 +520,13 @@ def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate `.grad` on every tensor reachable from a scalar loss.
+    """Populate `.grad` on every leaf that a scalar loss depends on.
 
-    Repeated calls accumulate into existing grads; callers zero grads (set to
-    None) between optimization steps.
+    A leaf is a tensor with no vjp: a parameter, or an input built with
+    `requires_grad`. Interior tensors get no `.grad`; each interior gradient
+    lives only until its node's vjp has consumed it. Repeated calls
+    accumulate into the leaves' grads; callers zero them (set to None)
+    between optimization steps.
     """
     if loss.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -534,16 +547,14 @@ def backward(loss: Tensor) -> None:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
 
-    # per-call accumulation is local so that repeated backward calls add the
-    # same contribution instead of compounding through stale interior grads
     local: dict[int, Array] = {id(loss): np.ones_like(loss.values)}
 
     for node in reversed(topo):
         g_in = local.pop(id(node), None)
         if g_in is None:
             continue
-        node.grad = g_in if node.grad is None else node.grad + g_in
         if node._vjp is None:
+            node.grad = g_in if node.grad is None else node.grad + g_in
             continue
         grads = node._vjp(g_in)
         for parent, g in zip(node._parents, grads):
@@ -601,6 +612,24 @@ def adam_step(params: list[Tensor], grads: list[Array], state: AdamState) -> Non
         p.values = p.values - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
+def train_step(params: list[Tensor], loss_of: Callable[[Array], Tensor], idx: Array,
+               state: AdamState) -> float:
+    """One Adam step on the loss of rows `idx`; returns that loss.
+
+    The step's graph is referenced only from this frame, so it is freed when
+    the step returns, before the next step's forward builds its own. A
+    non-finite loss raises FloatingPointError before any parameter moves.
+    """
+    for p in params:
+        p.grad = None
+    loss = loss_of(idx)
+    if not np.isfinite(loss.values):
+        raise FloatingPointError(f"non-finite loss {float(loss.values)}")
+    backward(loss)
+    adam_step(params, [p.grad for p in params], state)
+    return float(loss.values)
+
+
 def fit(params: list[Tensor], loss_of: Callable[[Array], Tensor], size: int,
         batch_size: int, epochs: int, rng: np.random.Generator, state: AdamState
         ) -> list[float]:
@@ -618,17 +647,10 @@ def fit(params: list[Tensor], loss_of: Callable[[Array], Tensor], size: int,
         total = 0.0
         for step, start in enumerate(range(0, size, batch_size), 1):
             idx = order[start:start + batch_size]
-            for p in params:
-                p.grad = None
             try:
-                loss = loss_of(idx)
-                if not np.isfinite(loss.values):
-                    raise FloatingPointError(f"non-finite loss {float(loss.values)}")
-                backward(loss)
-                adam_step(params, [p.grad for p in params], state)
+                total += train_step(params, loss_of, idx, state) * len(idx)
             except FloatingPointError as exc:
                 raise NumericError(f"{exc} at epoch {epoch}, step {step}") from None
-            total += float(loss.values) * len(idx)
         means.append(total / size)
         _log.info("epoch %d/%d: mean loss %.6f", epoch, epochs, means[-1])
     return means

@@ -2,6 +2,7 @@
 central finite differences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,16 +214,21 @@ def make_experts(rng, experts, dims):
     return weights, biases
 
 
+def make_mixture_inputs(rng, experts, dims, rows):
+    """Expert layers, (rows, d_z) inputs and (rows, E) gates, all requiring grad."""
+    weights, biases = make_experts(rng, experts, dims)
+    z = Tensor(rng.uniform(-1, 1, (rows, dims[0])), requires_grad=True)
+    gamma = Tensor(rng.dirichlet(np.ones(experts), size=rows), requires_grad=True)
+    return z, gamma, weights, biases
+
+
 class TestExpertMixture:
-    @pytest.mark.parametrize("experts,dims", [
-        (3, (4, 5)), (3, (4, 5, 3)), (3, (4, 5, 3, 2)), (1, (4, 5, 3)),
-    ])
-    def test_gradients(self, experts, dims):
-        rng = np.random.default_rng(70 + len(dims) + experts)
+    @staticmethod
+    def check_gradients(rng, experts, dims, rows):
         weights, biases = make_experts(rng, experts, dims)
-        z = Tensor(rng.uniform(-1, 1, (6, dims[0])), requires_grad=True)
-        gamma = Tensor(rng.uniform(0, 1, (6, experts)), requires_grad=True)
-        probe = Tensor(rng.uniform(-1, 1, (6, dims[-1])))
+        z = Tensor(rng.uniform(-1, 1, (rows, dims[0])), requires_grad=True)
+        gamma = Tensor(rng.uniform(0, 1, (rows, experts)), requires_grad=True)
+        probe = Tensor(rng.uniform(-1, 1, (rows, dims[-1])))
 
         def model():
             return (ag.tanh(ag.expert_mixture(z, gamma, weights, biases)) * probe).sum()
@@ -233,6 +239,16 @@ class TestExpertMixture:
         report = finite_diff_check(model, params, tol_rel=1e-4)
         assert report.passed, report.lines()
 
+    @pytest.mark.parametrize("experts,dims", [
+        (3, (4, 5)), (3, (4, 5, 3)), (3, (4, 5, 3, 2)), (1, (4, 5, 3)),
+    ])
+    def test_gradients(self, experts, dims):
+        self.check_gradients(np.random.default_rng(70 + len(dims) + experts), experts, dims, 6)
+
+    def test_gradients_across_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(ag, "EXPERT_BLOCK", 4)  # 11 rows: blocks of 4, 4 and 3
+        self.check_gradients(np.random.default_rng(77), 3, (4, 5, 3, 2), 11)
+
     def test_matches_broadcast_batched_formula(self):
         rng = np.random.default_rng(75)
         weights, biases = make_experts(rng, 4, (7, 9, 6, 5))
@@ -242,6 +258,48 @@ class TestExpertMixture:
         ref = broadcast_batched_mixture(z, gamma, [w.values for w in weights],
                                         [b.values for b in biases])
         np.testing.assert_allclose(out.values, ref, rtol=0.0, atol=1e-12)
+
+    def test_row_blocks_match_one_block(self, monkeypatch):
+        rng = np.random.default_rng(78)
+        z, gamma, weights, biases = make_mixture_inputs(rng, 3, (4, 5, 3, 2), rows=11)
+        g = rng.standard_normal((11, 2))
+        out = ag.expert_mixture(z, gamma, weights, biases)
+        monkeypatch.setattr(ag, "EXPERT_BLOCK", 11)
+        whole = out._vjp(g)
+        monkeypatch.setattr(ag, "EXPERT_BLOCK", 4)
+        blocked = out._vjp(g)
+        # each row of dz and d_gamma is computed from that row alone; the
+        # weight and bias gradients sum the blocks in a different order
+        for name, a, b in zip(["dz", "d_gamma"], blocked[:2], whole[:2]):
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        for a, b in zip(blocked[2:], whole[2:]):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+    def test_leaves_its_inputs_unchanged(self, monkeypatch):
+        monkeypatch.setattr(ag, "EXPERT_BLOCK", 4)
+        rng = np.random.default_rng(79)
+        z, gamma, weights, biases = make_mixture_inputs(rng, 3, (4, 5, 3, 2), rows=11)
+        g = rng.standard_normal((11, 2))
+        arrays = [g, z.values, gamma.values] + [t.values for t in weights + biases]
+        before = [a.copy() for a in arrays]
+        ag.expert_mixture(z, gamma, weights, biases)._vjp(g)
+        for a, b in zip(arrays, before):
+            np.testing.assert_array_equal(a, b)
+
+    def test_backward_allocates_less_than_one_activation(self):
+        """Row blocks keep the vjp's peak below one (N, E, h1) activation array."""
+        rows, experts, dims = 4 * ag.EXPERT_BLOCK, 4, (16, 64, 16)
+        rng = np.random.default_rng(80)
+        z, gamma, weights, biases = make_mixture_inputs(rng, experts, dims, rows)
+        out = ag.expert_mixture(z, gamma, weights, biases)
+        g = rng.standard_normal(out.shape)
+        tracemalloc.start()
+        try:
+            out._vjp(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * experts * dims[1] * out.values.itemsize
 
     def test_no_grad_records_nothing(self):
         rng = np.random.default_rng(76)
@@ -276,6 +334,17 @@ class TestGraph:
         y.grad = None
         y.backward()
         np.testing.assert_allclose(x.grad, [4.0])
+
+    def test_gradients_stay_on_leaves_only(self):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        h = x @ w
+        a = ag.tanh(h)
+        loss = (a * a).sum()
+        loss.backward()
+        assert h.grad is None and a.grad is None and loss.grad is None
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -339,7 +408,8 @@ class TestDtype:
         loss.backward()
         assert loss.values.dtype == x.grad.dtype == w.grad.dtype == self.F32
 
-    def test_expert_mixture_in_float32(self):
+    def test_expert_mixture_in_float32(self, monkeypatch):
+        monkeypatch.setattr(ag, "EXPERT_BLOCK", 4)  # 6 rows: blocks of 4 and 2
         rng = np.random.default_rng(91)
         weights, biases = make_experts(rng, 3, (4, 5, 3, 2))
         z, gamma = rng.uniform(-1, 1, (6, 4)), rng.dirichlet(np.ones(3), size=6)
@@ -448,6 +518,29 @@ class TestFit:
             assert [len(idx) for idx, _ in steps] == [4, 4, 2]
             assert mean == sum(len(idx) * loss for idx, loss in steps) / 10
         assert means[2] < means[0]
+
+    def test_a_step_frees_its_graph_before_the_next(self):
+        """Three steps peak no higher than one: no step's graph outlives it."""
+        data = np.random.default_rng(8).standard_normal((3 * 256, 32))
+        w = Tensor(np.zeros((32, 512)), requires_grad=True)
+        state = AdamState()
+
+        def loss_of(idx):  # a deep graph: its activations outweigh backward's temporaries
+            h = Tensor(data[idx]) @ w
+            for _ in range(8):
+                h = ag.tanh(h)
+            return (h * h).sum() / len(idx)
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                ag.fit([w], loss_of, steps * 256, 256, 1, np.random.default_rng(0), state)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # Adam's moments exist before either measurement
+        assert peak(3) <= 1.15 * peak(1)
 
     @pytest.mark.parametrize("fault", ["nan", "overflow"])
     def test_numeric_fault_names_its_epoch_and_step(self, fault):

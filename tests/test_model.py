@@ -193,13 +193,27 @@ class TestDtypes:
         config = with_variant(tiny_config(d_h=d_h), variant)
         model = ParModel(config, config.build_layout(), 2)
         loss, _ = model.loss(tiny_batch(config))
+        interior = [t for t in created if t._vjp is not None]
+        seen = {id(t): [] for t in interior}  # what each vjp received and returned
+
+        def recording(vjp, arrays):
+            def wrapped(g):
+                grads = vjp(g)
+                arrays.extend([g] + [np.asarray(x) for x in grads if x is not None])
+                return grads
+            return wrapped
+
+        for t in interior:
+            t._vjp = recording(t._vjp, seen[id(t)])
         ag.backward(loss)
         params = list(model.params.values())
         adam_step(params, [p.grad for p in params], AdamState())
-        tensors = created + params
-        assert {t.values.dtype for t in tensors} == {F64}
-        grads = [t.grad for t in tensors if t.grad is not None]
-        assert len(grads) > len(params) and {g.dtype for g in grads} == {F64}
+        assert {id(p) for p in params} <= {id(t) for t in created}  # each counted once
+        assert {t.values.dtype for t in created} == {F64}
+        assert interior and all(seen.values())
+        arrays = [a for received in seen.values() for a in received]
+        arrays += [p.grad for p in params if p.grad is not None]
+        assert {a.dtype for a in arrays} == {F64}
 
     def test_float32_copy_rounds_every_parameter_and_leaves_the_model(self):
         config = tiny_config()
