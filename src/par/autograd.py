@@ -303,8 +303,10 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def _matmul_forward(av: Array, bv: Array) -> Array:
-    # shape-specialized paths turn broadcast-batched products into a few large
-    # GEMM calls instead of hundreds of tiny ones
+    # shape-specialized paths fold a broadcast batch into a few large GEMMs.
+    # Measured with bench/run.py's eval workload (2-vCPU x86-64, OpenBLAS,
+    # medians of 3 interleaved pairs): plain `av @ bv` instead lowers eval
+    # from 4,301 to 4,098 pages/s and rerank from 5,047 to 4,879 pages/s.
     if bv.ndim == 2 and av.ndim > 2:
         return (av.reshape(-1, av.shape[-1]) @ bv).reshape(av.shape[:-1] + (bv.shape[-1],))
     if av.ndim == 4 and bv.ndim == 3:
@@ -319,7 +321,10 @@ def _matmul_forward(av: Array, bv: Array) -> Array:
 
 
 def _matmul_grad_b(av: Array, g: Array, b_shape: tuple[int, ...]) -> Array:
-    # dB = sum over broadcast batch of A^T @ g
+    # dB = sum over broadcast batch of A^T @ g, summed inside the GEMMs: a
+    # plain `_unbroadcast(A^T @ g)` builds the whole batch of products (the
+    # towers' (b, n, 80, 80)) and raised bench/run.py's peak RSS from 266 to
+    # 283 MB on train and 247 to 263 MB on eval (one pair each, same machine)
     if len(b_shape) == 2:
         return av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
     if av.ndim == 4 and len(b_shape) == 3 and g.shape[:2] == (av.shape[0], b_shape[0]):

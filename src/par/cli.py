@@ -46,12 +46,13 @@ def _data_paths(base: str) -> dict[str, Path]:
     }
 
 
-def _load_split(base: str, split: str):
+def _load_splits(base: str, *splits: str):
+    """The pages of each split, then the catalog."""
     paths = _data_paths(base)
-    for key in (split, "catalog"):
+    for key in (*splits, "catalog"):
         if not paths[key].exists():
             raise ConfigError(f"missing dataset file {paths[key]} (run gen-data first)")
-    return load_pages(paths[split]), load_catalog(paths["catalog"])
+    return (*(load_pages(paths[split]) for split in splits), load_catalog(paths["catalog"]))
 
 
 def cmd_gen_data(args) -> int:
@@ -72,7 +73,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args)
-    pages, catalog = _load_split(args.data, "train")
+    pages, catalog = _load_splits(args.data, "train")
     checkpoint = train(config, pages, catalog)
     checkpoint.save(args.out)
     final = checkpoint.loss_history[-1] if checkpoint.loss_history else float("nan")
@@ -83,7 +84,7 @@ def cmd_train(args) -> int:
 
 def cmd_rerank(args) -> int:
     checkpoint = Checkpoint.load(args.checkpoint)
-    pages, catalog = _load_split(args.data, args.split)
+    pages, catalog = _load_splits(args.data, args.split)
     _, perms = rank_pages(checkpoint, pages, catalog)
     lengths = checkpoint.config.build_layout().lengths
 
@@ -100,7 +101,7 @@ def cmd_rerank(args) -> int:
 
 def cmd_eval(args) -> int:
     checkpoint = Checkpoint.load(args.checkpoint)
-    pages, catalog = _load_split(args.data, "test")
+    pages, catalog = _load_splits(args.data, "test")
     reports = evaluate(checkpoint, pages, catalog, eval_seed=args.seed,
                        relevance_source=args.relevance)
     roles = checkpoint.config.build_layout().roles
@@ -125,8 +126,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = _load_config(args)
-    train_pages, catalog = _load_split(args.data, "train")
-    test_pages, _ = _load_split(args.data, "test")
+    train_pages, test_pages, catalog = _load_splits(args.data, "train", "test")
 
     if args.variants:
         requested = [v.strip() for v in args.variants.split(",") if v.strip()]

@@ -31,7 +31,7 @@ VARIANTS: dict[str, frozenset[str]] = {
 
 
 # The only keys that may be 0; every other number, and each layer width, must be positive.
-_MAY_BE_ZERO = frozenset({"l2", "epochs", "seed", "ranker_epochs"})
+_MAY_BE_ZERO = frozenset({"l2", "epochs", "seed"})
 
 
 @dataclass
@@ -59,7 +59,6 @@ class TrainConfig:
     d_o: int = 32
     d_r: int = 16
     heads: int = 2
-    sigma: float = 0.1
     experts: int = 4
     expert_hidden: tuple[int, ...] = (200, 80)
     tower_hidden: tuple[int, ...] = (80,)
@@ -76,7 +75,6 @@ class TrainConfig:
     true_dim: int = 16
     pos_per_list: int = 3
     user_themes: int = 5
-    ranker_epochs: int = 1
     ablate_seeds: int = 5
 
     def __post_init__(self):

@@ -68,6 +68,11 @@ def stream(seed: int, tag: int, *extra: int) -> np.random.Generator:
 # -- catalog and users --------------------------------------------------------
 
 
+def _item_themes(vocab: int, items_per_theme: int) -> np.ndarray:
+    """(vocab,) theme of each id: 0 for the padding id, then items_per_theme ids per theme."""
+    return np.concatenate([[0], np.arange(vocab - 1) // items_per_theme + 1])
+
+
 @dataclass
 class Catalog:
     """Fixed item universe: theme membership, embeddings, quality factors.
@@ -97,9 +102,8 @@ class Catalog:
         emb[0] = 0.0
         quality = cls.QUALITY_SCALE * rng.standard_normal((vocab, 2))
         quality[0] = 0.0
-        item_theme = np.zeros(vocab, dtype=np.int64)
-        item_theme[1:] = np.arange(vocab - 1) // items_per_theme + 1
-        return cls(themes, items_per_theme, true_dim, seed, item_theme, emb, quality)
+        return cls(themes, items_per_theme, true_dim, seed,
+                   _item_themes(vocab, items_per_theme), emb, quality)
 
     def appeal(self, latent: np.ndarray, items: np.ndarray) -> np.ndarray:
         """User appeal of (..., k) items: affinity plus the quality factors.
@@ -161,6 +165,12 @@ class Catalog:
                 or catalog.quality.shape != (vocab, 2)):
             raise DataError(f"catalog arrays do not fit {catalog.themes} themes x "
                             f"{catalog.items_per_theme} items of dimension {dim}")
+        expected = _item_themes(vocab, catalog.items_per_theme)
+        wrong = np.flatnonzero(catalog.item_theme != expected)
+        if wrong.size:
+            k = wrong[0]
+            raise DataError(f"catalog item_theme[{k}] is {catalog.item_theme[k]}, expected "
+                            f"{expected[k]} for {catalog.items_per_theme} items per theme")
         return catalog
 
 
@@ -174,8 +184,8 @@ class UserProfile:
 
 TOP_K = 5  # a user's history items come from their top-5 items of a theme
 APPEAL_CHUNK = 512  # pages per embedding gather in generate_pages
-# initial rankers: hidden width, Adam learning rate and batch, std of the target noise
-RANKER_HIDDEN, RANKER_LR, RANKER_BATCH, LABEL_NOISE = 32, 0.01, 256, 0.1
+# initial rankers: hidden width, Adam learning rate, batch and epochs, std of the target noise
+RANKER_HIDDEN, RANKER_LR, RANKER_BATCH, RANKER_EPOCHS, LABEL_NOISE = 32, 0.01, 256, 1, 0.1
 
 
 def make_user(catalog: Catalog, user_id: int, user_themes: int, t: int,
@@ -305,7 +315,7 @@ def train_initial_rankers(features: list[np.ndarray], config: TrainConfig,
             return (err * err).sum() / len(idx)
 
         ag.fit(net.weights + net.biases, loss_of, len(feats), RANKER_BATCH,
-               config.ranker_epochs, rng, ag.AdamState(lr=RANKER_LR))
+               RANKER_EPOCHS, rng, ag.AdamState(lr=RANKER_LR))
         rankers.append(net)
     return rankers
 

@@ -94,18 +94,12 @@ class PageBatch:
 
 
 def embed_page(batch: PageBatch, item_table: EmbeddingTable,
-               category_table: EmbeddingTable | None = None) -> Tensor:
+               category_table: EmbeddingTable) -> Tensor:
     """Embed the candidate matrix: (b, n, m) ids -> (b, n, m, d)."""
-    out = item_table.lookup(batch.items)
-    if category_table is not None:
-        out = out + category_table.lookup(batch.categories)
-    return out
+    return item_table.lookup(batch.items) + category_table.lookup(batch.categories)
 
 
 def embed_history(batch: PageBatch, item_table: EmbeddingTable,
-                  category_table: EmbeddingTable | None = None) -> Tensor:
+                  category_table: EmbeddingTable) -> Tensor:
     """Embed the history list: (b, t) ids -> (b, t, d)."""
-    out = item_table.lookup(batch.history)
-    if category_table is not None:
-        out = out + category_table.lookup(batch.history_categories)
-    return out
+    return item_table.lookup(batch.history) + category_table.lookup(batch.history_categories)

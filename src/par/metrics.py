@@ -136,22 +136,20 @@ class ReportTable:
                 + [f"sctr_{role}" for role in self.roles]
                 + ["ndcg", "map", "seed", "timestamp"])
 
-    def add(self, system: str, report: MetricReport, timestamp: str | None = None) -> None:
+    def add(self, system: str, report: MetricReport, timestamp: str) -> None:
         row = {"system": system}
         row.update(report.row())
-        row["timestamp"] = timestamp if timestamp is not None else report_timestamp()
+        row["timestamp"] = timestamp
         missing = set(self.columns()) - set(row)
         if missing:
             raise DataError(f"report row missing columns: {sorted(missing)}")
         self.rows.append(row)
 
-    def add_aggregate(self, system: str, reports: list[MetricReport],
-                      timestamp: str | None = None) -> None:
+    def add_aggregate(self, system: str, reports: list[MetricReport], timestamp: str) -> None:
         """Append mean and std rows over seeds for one system."""
-        ts = timestamp if timestamp is not None else report_timestamp()
         keys = [c for c in self.columns() if c not in ("system", "seed", "timestamp")]
         for label, reducer in (("mean", np.mean), ("std", np.std)):
-            row = {"system": system, "seed": label, "timestamp": ts}
+            row = {"system": system, "seed": label, "timestamp": timestamp}
             for key in keys:
                 row[key] = float(reducer([r.row()[key] for r in reports]))
             self.rows.append(row)

@@ -102,7 +102,6 @@ class ParModel:
                 w_v=self._glorot("ss.w_v", (c.heads, c.d_x, c.d_a)),
                 v=steep,
                 w_o=self._glorot("ss.w_o", (c.heads * c.d_a, c.d_o)),
-                sigma=c.sigma,
             )
 
         self.dense: Mlp | None = None

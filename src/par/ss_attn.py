@@ -18,6 +18,8 @@ from .autograd import Tensor
 from .errors import ContractError
 from .hds_attn import _key_mask_bias
 
+SIGMA = 0.1  # distance normalizer of the influence factor
+
 
 @dataclass
 class SSAttnParams:
@@ -28,20 +30,19 @@ class SSAttnParams:
     w_v: Tensor          # (B, d_x, d_a)
     v: Tensor | None     # (B,) steepness; None when distance scaling is ablated
     w_o: Tensor          # (B * d_a, d_o)
-    sigma: float = 0.1   # distance normalizer (hyperparameter)
 
 
-def learnable_sigmoid(d, v, sigma: float = 0.1) -> Tensor:
-    """Distance -> influence factor (1 + e^v) / (1 + e^(v + sigma*d)).
+def learnable_sigmoid(d, v) -> Tensor:
+    """Distance -> influence factor (1 + e^v) / (1 + e^(v + SIGMA*d)).
 
-    Computed as exp(softplus(v) - softplus(v + sigma*d)), which is exact
+    Computed as exp(softplus(v) - softplus(v + SIGMA*d)), which is exact
     (1 + e^x == e^softplus(x)) and overflow-safe for any v. Equals 1 at d=0
-    and decreases strictly in d for sigma > 0. Differentiable in v; d is
-    treated as a constant.
+    and decreases strictly in d. Differentiable in v; d is treated as a
+    constant.
     """
     v = ag.as_tensor(v)
     d = np.asarray(d, dtype=np.float64)
-    shifted = v + sigma * d  # a constant: takes v's dtype
+    shifted = v + SIGMA * d  # a constant: takes v's dtype
     return ag.exp(ag.softplus(v) - ag.softplus(shifted))
 
 
@@ -70,7 +71,7 @@ def spatial_scaled_attention(x_flat: Tensor, distances: np.ndarray,
     if params.v is not None:
         v3 = ag.reshape(params.v, (n_heads, 1, 1))
         # the 1/sqrt(d_a) scale rides on the small (B, nm, nm) factor
-        factor = learnable_sigmoid(distances, v3, params.sigma) / math.sqrt(d_a)
+        factor = learnable_sigmoid(distances, v3) / math.sqrt(d_a)
         factor = ag.reshape(factor, (1, n_heads, nm, nm))
         logits = ag.softplus(raw) * factor
     else:

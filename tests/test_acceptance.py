@@ -110,13 +110,13 @@ class TestCriterion2GeometryFixture:
 
 class TestCriterion3LearnableSigmoid:
     def test_contract(self):
-        unit_at_zero = all(learnable_sigmoid(0.0, float(v), 0.1).item() == 1.0
+        unit_at_zero = all(learnable_sigmoid(0.0, float(v)).item() == 1.0
                            for v in range(-5, 6))
         monotone = True
         for v in np.linspace(-5, 5, 11):
-            vals = [learnable_sigmoid(float(d), float(v), 0.1).item() for d in range(51)]
+            vals = [learnable_sigmoid(float(d), float(v)).item() for d in range(51)]
             monotone &= all(a > b for a, b in zip(vals, vals[1:]))
-        ref = learnable_sigmoid(10.0, 0.0, 0.1).item()
+        ref = learnable_sigmoid(10.0, 0.0).item()
         value_ok = abs(ref - 0.537883) <= 1e-6
         report(3, "learnable sigmoid", unit_at_zero and monotone and value_ok,
                f"f(0|v)=1 exactly, strictly decreasing over d=0..50, "

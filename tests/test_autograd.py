@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from par import autograd as ag
+from par import data_oracle
 from par.autograd import AdamState, Tensor, adam_step, finite_diff_check
 from par.config import TrainConfig
 from par.data_oracle import train_initial_rankers
@@ -73,6 +74,27 @@ class TestMatmul:
         nb = fd_grad(lambda x: (a0 @ x).sum(), b0.copy())
         assert rel_err(a.grad, na).max() <= 1e-4
         assert rel_err(b.grad, nb).max() <= 1e-4
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((2, 3, 4, 5), (3, 5, 2)),     # (b, n, p, q) @ (n, q, r)
+        ((2, 1, 4, 5), (3, 5, 2)),     # (b, 1, p, q) @ (n, q, r)
+        ((2, 3, 4, 5), (5, 2)),        # (b, n, m, q) @ (q, r)
+        ((2, 3, 4, 5), (2, 1, 5, 2)),  # (b, n, m, t) @ (b, 1, t, d)
+    ])
+    def test_model_shape_paths(self, a_shape, b_shape):
+        rng = np.random.default_rng(4)
+        a0, b0 = rng.uniform(-1, 1, a_shape), rng.uniform(-1, 1, b_shape)
+        w = rng.uniform(-1, 1, np.broadcast_shapes(a_shape[:-2], b_shape[:-2])
+                        + (a_shape[-2], b_shape[-1]))
+        a = Tensor(a0.copy(), requires_grad=True)
+        b = Tensor(b0.copy(), requires_grad=True)
+        out = ag.matmul(a, b)
+        np.testing.assert_allclose(out.values, np.matmul(a0, b0), rtol=1e-12, atol=1e-12)
+        (out * Tensor(w)).sum().backward()
+        na = fd_grad(lambda x: (np.matmul(x, b0) * w).sum(), a0.copy())
+        nb = fd_grad(lambda x: (np.matmul(a0, x) * w).sum(), b0.copy())
+        assert rel_err(a.grad, na).max() <= 1e-6
+        assert rel_err(b.grad, nb).max() <= 1e-6
 
     def test_associativity(self):
         rng = np.random.default_rng(3)
@@ -559,8 +581,9 @@ class TestFit:
         assert ("non-finite loss nan" if fault == "nan" else "overflow") in str(caught.value)
         assert state.step == 4
 
-    def test_nan_ranker_feature_stops_training(self):
-        config = TrainConfig(true_dim=4, ranker_epochs=2)
+    def test_nan_ranker_feature_stops_training(self, monkeypatch):
+        monkeypatch.setattr(data_oracle, "RANKER_EPOCHS", 2)
+        config = TrainConfig(true_dim=4)
         features = [np.random.default_rng(6).standard_normal((5, 3, 8))]
         features[0][2, 1, 3] = np.nan
         with pytest.raises(NumericError, match="non-finite loss nan at epoch 1, step 1$"):

@@ -97,7 +97,8 @@ class TestConfigFile:
     @pytest.mark.parametrize("line", ["not_a_key = 3", "dsa = true", "theme_mix = 0.5",
                                       "quality_weight_top = 1.5", "eta1 = 0.4", "eta2 = 0.5",
                                       "label_noise = 0.1", "ranker_hidden = 32",
-                                      "ranker_lr = 0.01", "eval_seed = 90210"])
+                                      "ranker_lr = 0.01", "eval_seed = 90210",
+                                      "sigma = 0.1", "ranker_epochs = 3"])
     def test_unknown_key_rejected(self, line):
         key = line.split(" = ")[0]
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
@@ -339,6 +340,15 @@ class TestAblateCommand:
         assert err.startswith("error: ConfigError:")
         assert "\n" not in err.strip("\n") or err.count("\n") == 1
 
+    def test_catalog_read_once(self, workspace, monkeypatch):
+        root, config, data = workspace
+        paths, load = [], cli.load_catalog
+        monkeypatch.setattr(cli, "load_catalog", lambda path: paths.append(path) or load(path))
+        # an unknown variant stops the command after the dataset is read
+        assert main(["ablate", "--config", str(config), "--data", str(data),
+                     "--variants", "PAR-XXL", "--out", str(root / "bad")]) == 1
+        assert paths == [Path(str(data) + ".catalog.json")]
+
 
 class TestErrorSurface:
     def test_missing_data_single_line_error(self, tmp_path, capsys):
@@ -395,9 +405,9 @@ class TestErrorSurface:
 
     @pytest.mark.parametrize("line, message", [
         ("expert_hidden = -8,4", "expert_hidden must be positive, got (-8, 4)"),
-        ("ranker_epochs = -3", "ranker_epochs must be >= 0, got -3"),
+        ("epochs = -3", "epochs must be >= 0, got -3"),
         ("tower_hidden = 0", "tower_hidden must be positive, got (0,)"),
-        ("sigma = nan", "sigma must be finite, got nan"),
+        ("learning_rate = nan", "learning_rate must be finite, got nan"),
     ])
     def test_invalid_config_value_single_line_error(self, workspace, tmp_path, capsys, line,
                                                     message):
@@ -492,6 +502,20 @@ class TestErrorSurface:
         assert main([command, "--checkpoint", str(stale), "--data", str(data),
                      "--out", str(tmp_path / "out")]) == 1
         self._single_error_line(capsys, "ConfigError", f"unknown config keys: {sorted(removed)}")
+
+    def test_checkpoint_naming_sigma_single_line_error(self, workspace, checkpoint, tmp_path,
+                                                       capsys):
+        """A header written while `sigma` and `ranker_epochs` were config keys is refused."""
+        root, config, data = workspace
+        stale = tmp_path / "old.ckpt"
+        stale.write_bytes(_edit_header(
+            checkpoint.read_bytes(),
+            lambda header: header["config"].update(sigma=0.1, ranker_epochs=1)))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(stale), "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == \
+            "error: ConfigError: unknown config keys: ['ranker_epochs', 'sigma']\n"
 
     @pytest.mark.parametrize("command,seed", [("gen-data", -1), ("train", -2), ("eval", -5)])
     def test_negative_seed_single_line_error(self, workspace, checkpoint, tmp_path, capsys,

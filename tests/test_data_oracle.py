@@ -21,7 +21,7 @@ from par.scoring import Mlp, mlp
 def small_config(**overrides) -> TrainConfig:
     base = dict(n=2, m=4, t=4, themes=4, items_per_theme=12, true_dim=8,
                 pos_per_list=2, user_themes=3, train_pages=6, test_pages=3,
-                ranker_epochs=1, d_x=4, d_h=4, d_a=4, d_o=4, d_r=4,
+                d_x=4, d_h=4, d_a=4, d_o=4, d_r=4,
                 expert_hidden=(8, 4), tower_hidden=(4,), dense_hidden=(4,),
                 experts=2, batch_size=4, epochs=1)
     base.update(overrides)
@@ -350,8 +350,9 @@ class TestInitialRanking:
                                       np.argsort(-scores(feats), axis=1, kind="stable"))
         assert orders[:, 0, 7:].tolist() == [[7, 8]] * 3  # padding keeps its own index
 
-    def test_initial_ranking_beats_random_on_relevance(self):
-        config = small_config(train_pages=80, test_pages=20, ranker_epochs=4)
+    def test_initial_ranking_beats_random_on_relevance(self, monkeypatch):
+        monkeypatch.setattr(data_oracle, "RANKER_EPOCHS", 4)
+        config = small_config(train_pages=80, test_pages=20)
         _, train, test = build_dataset(config)
         # relevant items should on average sit earlier than the uniform midpoint
         positions = []
@@ -540,6 +541,29 @@ class TestSerialization:
         path.write_text(catalog.to_json()[:-9])
         with pytest.raises(DataError, match="catalog.json: catalog line 1: not JSON"):
             load_catalog(path)
+
+    @pytest.mark.parametrize("theme", [99, 2])  # out of range, and in range but wrong
+    def test_catalog_with_wrong_item_theme_rejected(self, tmp_path, theme):
+        catalog = Catalog.build(3, 5, 4, seed=2)
+        data = json.loads(catalog.to_json())
+        data["item_theme"][3] = theme
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(DataError) as caught:
+            load_catalog(path)
+        assert str(caught.value) == (f"{path}: catalog item_theme[3] is {theme}, expected 1 "
+                                     f"for 5 items per theme")
+
+    def test_catalog_with_themed_padding_id_rejected(self, tmp_path):
+        catalog = Catalog.build(3, 5, 4, seed=2)
+        data = json.loads(catalog.to_json())
+        data["item_theme"][0] = 1
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(DataError) as caught:
+            load_catalog(path)
+        assert str(caught.value) == (f"{path}: catalog item_theme[0] is 1, expected 0 "
+                                     f"for 5 items per theme")
 
     def test_batch_assembly(self):
         config = small_config()

@@ -107,8 +107,13 @@ class TestEmbedOps:
     def test_embed_history_shape(self):
         rng = np.random.default_rng(7)
         batch = toy_batch(rng, b=2, t=5)
-        out = embed_history(batch, random_table(6, 3, rng))
+        item_table = random_table(6, 3, rng)
+        cat_table = random_table(3, 3, rng)
+        out = embed_history(batch, item_table, cat_table)
         assert out.shape == (2, 5, 3)
+        expected = (item_table.lookup(batch.history).values
+                    + cat_table.lookup(batch.history_categories).values)
+        np.testing.assert_array_equal(out.values, expected)
 
     def test_padding_slots_embed_to_zero(self):
         rng = np.random.default_rng(8)

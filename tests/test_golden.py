@@ -65,7 +65,7 @@ GOLDEN_SHA256 = {
     "pages.catalog.json":
         "b91b8672a519e8e1fbe651fda8167e9906d8ac6ad496e7a55bac2e5304a48ae6",
     "model.ckpt":
-        "42e7be0ccd8f5d00ef823134377fc7a4a65390aae51730aafcc8c0ac17cbcf25",
+        "89e5dd8dd8b44ad1021570a149de80aa848d97891157ab89d95419387240bb18",
     "report.csv":
         "28c8faf941c16be23e985f5f70718dfa7fb8eeb8d88b46ebefa38e178dc001df",
     "report.json":

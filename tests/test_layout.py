@@ -10,8 +10,9 @@ from par.layout import PageLayout, fshape_preset, manhattan_distance_matrix, sta
 class TestStacked:
     def test_coords(self):
         lay = stacked_preset(2, 3)
-        assert lay.slot_coord(0, 0) == (0, 0)
-        assert lay.slot_coord(1, 2) == (1, 2)
+        assert lay.cells.shape == (2, 3, 2)
+        assert tuple(lay.cells[0, 0]) == (0, 0)
+        assert tuple(lay.cells[1, 2]) == (1, 2)
         assert lay.roles == ("h1", "h2")
 
     def test_distance_example(self):
@@ -76,11 +77,29 @@ class TestDistanceMatrixProperties:
         nm = d.shape[0]
         assert np.all(d[:, None, :] <= d[:, :, None] + d[None, :, :] + 1e-9)
 
+    @pytest.mark.parametrize("lay", [stacked_preset(3, 4), fshape_preset(4, 2, 6),
+                                     fshape_preset(6, 3, 2), fshape_preset(2, 2, 1),
+                                     # the desk and bench pages, the golden F-shape page,
+                                     # and the smallest pages the tests build
+                                     stacked_preset(4, 10), stacked_preset(2, 4),
+                                     fshape_preset(3, 2, 5), stacked_preset(1, 1),
+                                     fshape_preset(4, 4, 10)])
+    def test_matches_slot_by_slot_reference(self, lay):
+        """Each slot's cell by its preset's rule, a padding slot at its list's last item."""
+        def cell(i, j):
+            j = min(j, lay.lengths[i] - 1)
+            if lay.roles[0] != "v":
+                return i, j
+            return (j, 0) if i == 0 else (4 * (i - 1), j + 1)
+
+        slots = [cell(i, j) for i in range(lay.n) for j in range(lay.m)]
+        expected = [[abs(r - r2) + abs(c - c2) for r2, c2 in slots] for r, c in slots]
+        np.testing.assert_array_equal(manhattan_distance_matrix(lay), expected)
+
     def test_list_permutation_equivariance(self):
         base = stacked_preset(3, 2)
         perm = [2, 0, 1]
-        coords = {(i, j): base.coords[(perm[i], j)] for i in range(3) for j in range(2)}
-        shuffled = PageLayout(n=3, m=2, lengths=(2, 2, 2), coords=coords, roles=base.roles)
+        shuffled = PageLayout(lengths=(2, 2, 2), roles=base.roles, cells=base.cells[perm])
         d_base = manhattan_distance_matrix(base)
         d_shuf = manhattan_distance_matrix(shuffled)
         m = 2
@@ -93,12 +112,7 @@ class TestDistanceMatrixProperties:
 
     def test_padding_slots_inherit_tail_coordinate(self):
         lay = fshape_preset(v_len=4, h_count=2, h_len=6)
-        assert lay.slot_coord(0, 5) == lay.slot_coord(0, 3)
+        np.testing.assert_array_equal(lay.cells[0, 4:], [lay.cells[0, 3]] * 2)
         d = manhattan_distance_matrix(lay)
         m = lay.m
         assert d[0 * m + 5, 0 * m + 3] == 0
-
-    def test_duplicate_coordinate_rejected(self):
-        with pytest.raises(ConfigError):
-            PageLayout(n=1, m=2, lengths=(2,), coords={(0, 0): (0, 0), (0, 1): (0, 0)},
-                       roles=("h1",))

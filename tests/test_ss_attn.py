@@ -6,46 +6,46 @@ import numpy as np
 import pytest
 
 from par import autograd as ag
+from par import ss_attn
 from par.autograd import Tensor, finite_diff_check
 from par.errors import ContractError
 from par.layout import manhattan_distance_matrix, stacked_preset
 from par.ss_attn import SSAttnParams, learnable_sigmoid, spatial_scaled_attention
 
 
-def make_params(rng, heads, d_x, d_a, d_o, sigma=0.1, with_v=True):
+def make_params(rng, heads, d_x, d_a, d_o, with_v=True):
     return SSAttnParams(
         w_q=Tensor(rng.uniform(-1, 1, (heads, d_x, d_a)), requires_grad=True),
         w_k=Tensor(rng.uniform(-1, 1, (heads, d_x, d_a)), requires_grad=True),
         w_v=Tensor(rng.uniform(-1, 1, (heads, d_x, d_a)), requires_grad=True),
         v=Tensor(rng.uniform(-0.5, 0.5, heads), requires_grad=True) if with_v else None,
         w_o=Tensor(rng.uniform(-1, 1, (heads * d_a, d_o)), requires_grad=True),
-        sigma=sigma,
     )
 
 
 class TestLearnableSigmoid:
     def test_unit_at_zero_distance(self):
         for v in range(-5, 6):
-            f = learnable_sigmoid(0.0, float(v), sigma=0.1)
+            f = learnable_sigmoid(0.0, float(v))
             assert f.item() == 1.0
 
     def test_strictly_decreasing(self):
         for v in np.linspace(-5, 5, 11):
-            values = [learnable_sigmoid(float(d), float(v), sigma=0.1).item()
+            values = [learnable_sigmoid(float(d), float(v)).item()
                       for d in range(51)]
             assert all(a > b for a, b in zip(values, values[1:]))
-        f1 = learnable_sigmoid(1.0, 0.3, sigma=0.1).item()
-        f2 = learnable_sigmoid(2.0, 0.3, sigma=0.1).item()
+        f1 = learnable_sigmoid(1.0, 0.3).item()
+        f2 = learnable_sigmoid(2.0, 0.3).item()
         assert f1 > f2
 
     def test_closed_form_value(self):
-        f = learnable_sigmoid(10.0, 0.0, sigma=0.1)
+        f = learnable_sigmoid(10.0, 0.0)
         assert abs(f.item() - 2.0 / (1.0 + math.e)) < 1e-12
         assert abs(f.item() - 0.537883) < 1e-6
 
     def test_overflow_safe(self):
-        assert np.isfinite(learnable_sigmoid(1000.0, 900.0, sigma=1.0).item())
-        assert learnable_sigmoid(1000.0, -900.0, sigma=1.0).item() > 0.0
+        assert np.isfinite(learnable_sigmoid(10000.0, 900.0).item())
+        assert learnable_sigmoid(10000.0, -900.0).item() > 0.0
 
     def test_range(self):
         rng = np.random.default_rng(0)
@@ -72,7 +72,7 @@ class TestLearnableSigmoid:
         v = Tensor(np.array([0.4]), requires_grad=True)
 
         def model():
-            return learnable_sigmoid(np.array([3.0, 7.0]), ag.reshape(v, (1, 1)), 0.1).sum()
+            return learnable_sigmoid(np.array([3.0, 7.0]), ag.reshape(v, (1, 1))).sum()
 
         report = finite_diff_check(model, {"v": v})
         assert report.passed, report.lines()
@@ -119,7 +119,7 @@ class TestSpatialScaledAttention:
         params = SSAttnParams(
             w_q=Tensor(w[None]), w_k=Tensor(w[None]), w_v=Tensor(w[None]),
             v=Tensor(np.zeros(1), requires_grad=True),
-            w_o=Tensor(np.eye(d_x)), sigma=0.1,
+            w_o=Tensor(np.eye(d_x)),
         )
         lay = stacked_preset(1, 3)
         dist = manhattan_distance_matrix(lay)
@@ -140,10 +140,11 @@ class TestSpatialScaledAttention:
         expected0 = weights @ v_proj[0, 0]
         np.testing.assert_allclose(out.values[0, 0], expected0 @ np.eye(d_x), atol=1e-12)
 
-    def test_sigma_zero_reduces_to_softplus_attention(self):
+    def test_sigma_zero_reduces_to_softplus_attention(self, monkeypatch):
+        monkeypatch.setattr(ss_attn, "SIGMA", 0.0)
         rng = np.random.default_rng(5)
         d_x, d_a, d_o = 4, 3, 5
-        params = make_params(rng, heads=2, d_x=d_x, d_a=d_a, d_o=d_o, sigma=0.0)
+        params = make_params(rng, heads=2, d_x=d_x, d_a=d_a, d_o=d_o)
         lay = stacked_preset(2, 2)
         dist = manhattan_distance_matrix(lay)
         x = rng.uniform(-1, 1, (2, 4, d_x))
