@@ -19,6 +19,7 @@ float32 (`trainer._score_pages`).
 from __future__ import annotations
 
 import logging
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -361,62 +362,122 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
-EXPERT_BLOCK = 512  # rows per block of expert_mixture's backward
+EXPERT_BLOCK = 1024  # rows per block of expert_mixture's passes, rounded to whole pages
 
 
-def expert_mixture(z: Tensor, gamma: Tensor, weights: list[Tensor],
+def expert_mixture(page: Tensor, slot: Tensor, gamma: Tensor, weights: list[Tensor],
                    biases: list[Tensor]) -> Tensor:
     """Gate-weighted sum of E relu MLP experts that all read the same rows.
 
-    z: (N, d_z); gamma: (N, E) mixing weights; weights[i]: (E, d_i, d_i+1) and
-    biases[i]: (E, d_i+1) per layer, relu between layers and none after the
-    last. Returns (N, d_last) with row r = sum_e gamma[r, e] * expert_e(z[r]).
+    page: (P, d_p) page vectors; slot: (N, d_s) per-slot columns, P pages of
+    N / P consecutive rows each, so row r reads z[r] = [page[r // (N / P)] |
+    slot[r]]; gamma: (N, E) mixing weights; weights[i]: (E, d_i, d_i+1), with
+    d_0 = d_p + d_s and the page rows first, and biases[i]: (E, d_i+1) per
+    layer, relu between layers and none after the last. Returns (N, d_last)
+    with row r = sum_e gamma[r, e] * expert_e(z[r]).
 
-    Because the experts share their input, the first layer of all of them is
-    one (N, d_z) x (d_z, E*h1) GEMM, and so are dz and dW1 in backward; deeper
-    layers are one GEMM per expert on strided (N, E, h) column blocks.
-    Backward walks the rows `EXPERT_BLOCK` at a time and sums the blocks'
-    weight and bias gradients, so of the batch's size it allocates only dz
-    and d_gamma. Only arrays this op allocates are written in place.
+    The first layer of all experts is one slot-rows GEMM, to which each page's
+    `page @ W1[page rows] + b1` is added once for all its slots; deeper hidden
+    layers are one GEMM per expert on strided (rows, E, h) column blocks; the
+    last layer is one (rows, E*h) x (E*h, d_last) GEMM on the gate-scaled
+    activations. Both passes walk whole pages, about `EXPERT_BLOCK` rows at a
+    time, in activation buffers of one block that every block reuses, and
+    backward recomputes each block's hidden activations: the graph keeps no
+    activation, and no pass allocates one of the batch's size. Only arrays
+    this op allocates are written in place.
     """
-    z, gamma = as_tensor(z), as_tensor(gamma)
-    if z.ndim != 2 or gamma.ndim != 2 or gamma.shape[0] != z.shape[0]:
-        raise DimensionError(f"expert_mixture needs (N, d) rows and (N, E) gates, "
-                             f"got {z.shape} and {gamma.shape}")
-    n_rows, d_z = z.shape
+    page, slot, gamma = as_tensor(page), as_tensor(slot), as_tensor(gamma)
+    if (page.ndim != 2 or slot.ndim != 2 or gamma.ndim != 2
+            or gamma.shape[0] != slot.shape[0]):
+        raise DimensionError(f"expert_mixture needs (P, d) pages, (N, d) slots and (N, E) "
+                             f"gates, got {page.shape}, {slot.shape} and {gamma.shape}")
+    n_pages, d_page = page.shape
+    n_rows, d_slot = slot.shape
+    if n_pages == 0 or n_rows % n_pages:
+        raise DimensionError(f"{n_rows} slot rows do not split into {n_pages} pages")
     n_experts = gamma.shape[1]
-    width = d_z
+    width = d_page + d_slot
     for w, b in zip(weights, biases):
         if w.shape[:2] != (n_experts, width) or b.shape != (n_experts, w.shape[-1]):
             raise DimensionError(f"expert layer {w.shape} + {b.shape} does not take "
                                  f"{n_experts} experts of width {width}")
         width = w.shape[-1]
 
+    per_page = n_rows // n_pages
+    step = max(1, EXPERT_BLOCK // per_page)
+    blocks = [(p, min(p + step, n_pages)) for p in range(0, n_pages, step)]
+    block_rows = min(step, n_pages) * per_page
     h1 = weights[0].shape[-1]
-    w1_flat = weights[0].values.transpose(1, 0, 2).reshape(d_z, n_experts * h1)
-    first = z.values @ w1_flat
-    first += biases[0].values.reshape(-1)
-    acts = [first.reshape(n_rows, n_experts, h1)]     # post-relu, except the last
-    for w, b in zip(weights[1:], biases[1:]):
-        prev = acts[-1]
-        np.maximum(prev, 0.0, out=prev)
-        nxt = np.empty((n_rows, n_experts, w.shape[-1]), dtype=first.dtype)
-        for e in range(n_experts):
-            np.matmul(prev[:, e], w.values[e], out=nxt[:, e])
-        nxt += b.values
-        acts.append(nxt)
-    out = np.einsum("ne,nek->nk", gamma.values, acts[-1])
+    w1 = weights[0].values.transpose(1, 0, 2).reshape(d_page + d_slot, n_experts * h1)
+    w1_page, w1_slot = w1[:d_page], w1[d_page:]
+    b1 = biases[0].values.reshape(-1)
+    deep = len(weights) > 1
+    w_last = weights[-1].values.reshape(-1, width)   # (E * h, d_last) when deep
+    b_last = biases[-1].values
+
+    def buffers(layers: list[Tensor]) -> list[Array]:
+        """One (block rows, E, width) array per layer, reused by every block."""
+        return [np.empty((block_rows, n_experts, w.shape[-1]), dtype=w1.dtype) for w in layers]
+
+    def hidden(p0: int, p1: int, bufs: list[Array]) -> list[Array]:
+        """A block's activations, in `bufs`: post-relu hidden layers, or the one layer's output."""
+        rows = slice(p0 * per_page, p1 * per_page)
+        acts = [buf[:rows.stop - rows.start] for buf in bufs]
+        first = acts[0].reshape(len(acts[0]), -1)
+        np.matmul(slot.values[rows], w1_slot, out=first)
+        by_page = first.reshape(p1 - p0, per_page, -1)
+        by_page += (page.values[p0:p1] @ w1_page + b1)[:, None]
+        for i, (w, b) in enumerate(zip(weights[1:-1], biases[1:-1]), 1):
+            prev, nxt = acts[i - 1], acts[i]
+            np.maximum(prev, 0.0, out=prev)
+            for e in range(n_experts):
+                np.matmul(prev[:, e], w.values[e], out=nxt[:, e])
+            nxt += b.values
+        if deep:
+            np.maximum(acts[-1], 0.0, out=acts[-1])
+        return acts
+
+    hidden_layers = weights[:-1] if deep else weights
+    out = np.empty((n_rows, width), dtype=w1.dtype)
+    bufs = buffers(hidden_layers)
+    for p0, p1 in blocks:
+        rows = slice(p0 * per_page, p1 * per_page)
+        acts, gm = hidden(p0, p1, bufs), gamma.values[rows]
+        if deep:
+            scaled = acts[-1]
+            scaled *= gm[:, :, None]
+            np.matmul(scaled.reshape(len(gm), -1), w_last, out=out[rows])
+            out[rows] += gm @ b_last
+        else:
+            np.einsum("ne,nek->nk", gm, acts[0], out=out[rows])
 
     def vjp(g):
-        d_gamma = np.einsum("nk,nek->ne", g, acts[-1])
-        dz = np.empty_like(z.values)
+        d_page = np.empty_like(page.values)
+        d_slot = np.empty_like(slot.values)
+        d_gamma = np.empty_like(gamma.values)
         d_ws = [np.zeros_like(w.values) for w in weights]
         d_bs = [np.zeros_like(b.values) for b in biases]
-        for start in range(0, n_rows, EXPERT_BLOCK):
-            rows = slice(start, start + EXPERT_BLOCK)
-            d_act = gamma.values[rows, :, None] * g[rows, None, :]
-            for i in range(len(weights) - 1, 0, -1):
-                prev, w = acts[i - 1][rows], weights[i].values
+        bufs = buffers(hidden_layers)
+        d_buf = buffers(hidden_layers[-1:])[0] if deep else None
+        for p0, p1 in blocks:
+            rows = slice(p0 * per_page, p1 * per_page)
+            acts, gm, gb = hidden(p0, p1, bufs), gamma.values[rows], g[rows]
+            if deep:
+                h = acts[-1]
+                for e in range(n_experts):  # the last layer read the gate-scaled h
+                    d_ws[-1][e] += h[:, e].T @ (gm[:, e, None] * gb)
+                d_bs[-1] += gm.T @ gb
+                d_act = d_buf[:len(gm)]
+                np.matmul(gb, w_last.T, out=d_act.reshape(len(gm), -1))
+                d_gamma[rows] = np.einsum("nej,nej->ne", d_act, h)
+                d_gamma[rows] += gb @ b_last.T
+                d_act *= gm[:, :, None]
+                d_act *= h > 0.0
+            else:
+                d_gamma[rows] = np.einsum("nk,nek->ne", gb, acts[0])
+                d_act = gm[:, :, None] * gb[:, None, :]
+            for i in range(len(weights) - 2, 0, -1):
+                prev, w = acts[i - 1], weights[i].values
                 d_prev = np.empty_like(prev)
                 for e in range(n_experts):
                     d_ws[i][e] += prev[:, e].T @ d_act[:, e]
@@ -424,14 +485,82 @@ def expert_mixture(z: Tensor, gamma: Tensor, weights: list[Tensor],
                 d_bs[i] += d_act.sum(axis=0)
                 np.multiply(d_prev, prev > 0.0, out=d_prev)
                 d_act = d_prev
-            d_first = d_act.reshape(-1, n_experts * h1)
-            d_w1 = z.values[rows].T @ d_first
-            d_ws[0] += d_w1.reshape(d_z, n_experts, h1).transpose(1, 0, 2)
-            d_bs[0] += d_first.sum(axis=0).reshape(n_experts, h1)
-            np.matmul(d_first, w1_flat.T, out=dz[rows])
-        return (dz, d_gamma, *d_ws, *d_bs)
+            d_first = d_act.reshape(len(gm), n_experts * h1)
+            d_first_page = d_first.reshape(p1 - p0, per_page, -1).sum(axis=1)
+            d_w1 = np.concatenate([page.values[p0:p1].T @ d_first_page,
+                                   slot.values[rows].T @ d_first])
+            d_ws[0] += d_w1.reshape(-1, n_experts, h1).transpose(1, 0, 2)
+            d_bs[0] += d_first_page.sum(axis=0).reshape(n_experts, h1)
+            np.matmul(d_first, w1_slot.T, out=d_slot[rows])
+            np.matmul(d_first_page, w1_page.T, out=d_page[p0:p1])
+        return (d_page, d_slot, d_gamma, *d_ws, *d_bs)
 
-    return _make(out, (z, gamma, *weights, *biases), vjp)
+    return _make(out, (page, slot, gamma, *weights, *biases), vjp)
+
+
+def spatial_attention(q: Tensor, k: Tensor, val: Tensor, bias: Array,
+                      factor: Tensor | None = None) -> Tensor:
+    """Multi-head attention softmax(logits + bias) @ val in one op.
+
+    q, k, val: (b, B, nm, d_a); bias: an additive key mask, constant,
+    broadcast to (b, B, nm, nm); factor: (B, nm, nm) per-head influence
+    factors. The logits are softplus(q @ k^T) * factor / sqrt(d_a) with a
+    factor, and the plain q @ k^T / sqrt(d_a) without one. Returns
+    (b, B, nm, d_a). Of the (b, B, nm, nm) arrays, the graph keeps only the
+    attention weights and, with a factor, the softplus output. Refuses
+    non-finite logits with a NumericError, as `softmax` does.
+    """
+    q, k, val = as_tensor(q), as_tensor(k), as_tensor(val)
+    if q.ndim != 4 or k.shape != q.shape or val.shape[:3] != q.shape[:3]:
+        raise DimensionError(f"spatial_attention needs (b, B, nm, d) queries, keys and "
+                             f"values, got {q.shape}, {k.shape} and {val.shape}")
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    bias = np.asarray(bias, dtype=q.values.dtype)
+    logits = q.values @ k.values.swapaxes(-1, -2)                  # (b, B, nm, nm)
+    if factor is None:
+        rect = scaled_factor = None
+        logits *= scale
+        parents = (q, k, val)
+    else:
+        factor = as_tensor(factor)
+        rect = np.abs(logits)             # softplus, overflow-safe: exp sees only -|x|
+        np.negative(rect, out=rect)
+        np.exp(rect, out=rect)
+        np.log1p(rect, out=rect)
+        rect += np.maximum(logits, 0.0)
+        scaled_factor = factor.values * scale
+        np.multiply(rect, scaled_factor, out=logits)
+        parents = (q, k, val, factor)
+    logits += bias
+    if not np.all(np.isfinite(logits)):
+        raise NumericError("softmax requires finite input")
+    attn = logits
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    out = attn @ val.values
+
+    def vjp(g):
+        d_val = attn.swapaxes(-1, -2) @ g
+        d_logits = g @ val.values.swapaxes(-1, -2)
+        d_logits -= (d_logits * attn).sum(axis=-1, keepdims=True)
+        d_logits *= attn
+        if rect is None:
+            d_raw = d_logits
+            d_raw *= scale
+            grads = ()
+        else:
+            d_factor = _unbroadcast(d_logits * rect, factor.shape) * scale
+            d_raw = d_logits
+            d_raw *= scaled_factor
+            slope = np.negative(rect)  # softplus' derivative sigmoid(x) = 1 - exp(-softplus(x))
+            np.expm1(slope, out=slope)
+            np.negative(slope, out=slope)
+            d_raw *= slope
+            grads = (d_factor,)
+        return (d_raw @ k.values, d_raw.swapaxes(-1, -2) @ q.values, d_val, *grads)
+
+    return _make(out, parents, vjp)
 
 
 def transpose(x: Tensor, *axes) -> Tensor:
@@ -489,7 +618,7 @@ def concat(tensors, axis: int = -1) -> Tensor:
 
 
 def gather(table: Tensor, ids: Array) -> Tensor:
-    """Row lookup with id 0 as padding; backward scatter-adds into the table rows.
+    """Row lookup with id 0 as padding; backward sums into the table rows.
 
     Id k reads `table[k - 1]`; id 0 reads a constant zero row in front of the
     table, which takes no gradient.
@@ -502,9 +631,11 @@ def gather(table: Tensor, ids: Array) -> Tensor:
     out[ids == 0] = 0.0
 
     def vjp(g):
-        gt = np.zeros((rows,) + table.shape[1:], dtype=g.dtype)
-        np.add.at(gt, ids, g)
-        return (gt[1:],)
+        # np.bincount adds each cell's terms in order from 0.0, as np.add.at does
+        width = math.prod(table.shape[1:])
+        cells = ids.astype(np.intp)[..., None] * width + np.arange(width)
+        gt = np.bincount(cells.reshape(-1), weights=g.reshape(-1), minlength=rows * width)
+        return (gt.astype(g.dtype, copy=False).reshape((rows,) + table.shape[1:])[1:],)
 
     return _make(out, (table,), vjp)
 

@@ -79,8 +79,11 @@ def mmoe_score(page_vec: Tensor, dense_feat: Tensor, influence: Tensor,
     """Mixture-of-experts scores for every slot: (b, n, m) in (0, 1).
 
     page_vec: (b, d_l) broadcast to all slots; dense_feat: (b, n, m, d_r);
-    influence: (b, n, m, d_o). Gate vectors are softmax-normalized over the
-    experts; each list's tower squashes its combined expert output.
+    influence: (b, n, m, d_o). Gate vectors, read from the concatenated slot
+    input, are softmax-normalized over the experts; the experts take the page
+    vector once per page and the [dense_feat | influence] columns per slot
+    (`ag.expert_mixture`); each list's tower squashes its combined expert
+    output.
     """
     b, n, m, _ = dense_feat.shape
     if params.gate_w.shape[0] != n:
@@ -91,9 +94,9 @@ def mmoe_score(page_vec: Tensor, dense_feat: Tensor, influence: Tensor,
     gate_logits = ag.matmul(z, params.gate_w) + ag.reshape(params.gate_b, (n, 1, n_experts))
     gamma = ag.softmax(gate_logits, axis=-1)                       # (b, n, m, E)
 
-    rows = b * n * m
-    mixed = ag.expert_mixture(ag.reshape(z, (rows, z.shape[-1])),
-                              ag.reshape(gamma, (rows, n_experts)),
+    slot = ag.concat([dense_feat, influence], axis=-1)
+    mixed = ag.expert_mixture(page_vec, ag.reshape(slot, (b * n * m, slot.shape[-1])),
+                              ag.reshape(gamma, (b * n * m, n_experts)),
                               params.experts.weights, params.experts.biases)
     combined = ag.reshape(mixed, (b, n, m, mixed.shape[-1]))
     return ag.sigmoid(ag.reshape(mlp(combined, params.towers), (b, n, m)))

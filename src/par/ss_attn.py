@@ -8,7 +8,6 @@ before the usual scaled softmax. Each head owns one steepness scalar.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +52,10 @@ def spatial_scaled_attention(x_flat: Tensor, distances: np.ndarray,
     x_flat: (b, nm, d_x); distances: (nm, nm); mask: (b, nm) slot mask.
     With steepness params, logits are softplus-rectified and multiplied by
     each head's influence factor; without them (the distance scaling
-    ablated) plain dot-product logits are used. Padding slots are masked as
-    keys, and their output rows are zeroed so they contribute nothing
-    downstream. Returns (b, nm, d_o).
+    ablated) plain dot-product logits are used. Both run through the one
+    fused op `ag.spatial_attention`, scaled by 1/sqrt(d_a). Padding slots are
+    masked as keys, and their output rows are zeroed so they contribute
+    nothing downstream. Returns (b, nm, d_o).
     """
     b, nm, _ = x_flat.shape
     n_heads, _, d_a = params.w_q.shape
@@ -67,19 +67,11 @@ def spatial_scaled_attention(x_flat: Tensor, distances: np.ndarray,
     k = ag.matmul(x4, params.w_k)
     val = ag.matmul(x4, params.w_v)
 
-    raw = ag.matmul(q, ag.transpose(k))                            # (b, B, nm, nm)
+    factor = None
     if params.v is not None:
-        v3 = ag.reshape(params.v, (n_heads, 1, 1))
-        # the 1/sqrt(d_a) scale rides on the small (B, nm, nm) factor
-        factor = learnable_sigmoid(distances, v3) / math.sqrt(d_a)
-        factor = ag.reshape(factor, (1, n_heads, nm, nm))
-        logits = ag.softplus(raw) * factor
-    else:
-        logits = raw / math.sqrt(d_a)
-
+        factor = learnable_sigmoid(distances, ag.reshape(params.v, (n_heads, 1, 1)))
     bias = _key_mask_bias(mask)[:, None, None, :]                  # keys axis
-    attn = ag.softmax(logits + bias, axis=-1)
-    heads = ag.matmul(attn, val)                                   # (b, B, nm, d_a)
+    heads = ag.spatial_attention(q, k, val, bias, factor)          # (b, B, nm, d_a)
     merged = ag.reshape(ag.transpose(heads, (0, 2, 1, 3)), (b, nm, n_heads * d_a))
     out = ag.matmul(merged, params.w_o)                            # (b, nm, d_o)
     return out * mask[:, :, None]

@@ -236,26 +236,35 @@ def make_experts(rng, experts, dims):
     return weights, biases
 
 
-def make_mixture_inputs(rng, experts, dims, rows):
-    """Expert layers, (rows, d_z) inputs and (rows, E) gates, all requiring grad."""
+def make_mixture_inputs(rng, experts, dims, pages, per_page, d_page=2):
+    """Expert layers, (pages, d_page) page vectors, (rows, dims[0] - d_page) slot
+    columns and (rows, E) gates, all requiring grad."""
     weights, biases = make_experts(rng, experts, dims)
-    z = Tensor(rng.uniform(-1, 1, (rows, dims[0])), requires_grad=True)
+    rows = pages * per_page
+    page = Tensor(rng.uniform(-1, 1, (pages, d_page)), requires_grad=True)
+    slot = Tensor(rng.uniform(-1, 1, (rows, dims[0] - d_page)), requires_grad=True)
     gamma = Tensor(rng.dirichlet(np.ones(experts), size=rows), requires_grad=True)
-    return z, gamma, weights, biases
+    return page, slot, gamma, weights, biases
+
+
+def mixture_rows(page, slot):
+    """The rows the experts read: each page vector repeated for its slots."""
+    per_page = slot.shape[0] // page.shape[0]
+    return np.concatenate([np.repeat(page, per_page, axis=0), slot], axis=1)
 
 
 class TestExpertMixture:
     @staticmethod
-    def check_gradients(rng, experts, dims, rows):
-        weights, biases = make_experts(rng, experts, dims)
-        z = Tensor(rng.uniform(-1, 1, (rows, dims[0])), requires_grad=True)
-        gamma = Tensor(rng.uniform(0, 1, (rows, experts)), requires_grad=True)
-        probe = Tensor(rng.uniform(-1, 1, (rows, dims[-1])))
+    def check_gradients(rng, experts, dims, pages, per_page):
+        page, slot, gamma, weights, biases = make_mixture_inputs(rng, experts, dims,
+                                                                 pages, per_page)
+        probe = Tensor(rng.uniform(-1, 1, (pages * per_page, dims[-1])))
 
         def model():
-            return (ag.tanh(ag.expert_mixture(z, gamma, weights, biases)) * probe).sum()
+            mixed = ag.expert_mixture(page, slot, gamma, weights, biases)
+            return (ag.tanh(mixed) * probe).sum()
 
-        params = {"z": z, "gamma": gamma}
+        params = {"page": page, "slot": slot, "gamma": gamma}
         params.update({f"w{i}": w for i, w in enumerate(weights)})
         params.update({f"b{i}": b for i, b in enumerate(biases)})
         report = finite_diff_check(model, params, tol_rel=1e-4)
@@ -265,82 +274,190 @@ class TestExpertMixture:
         (3, (4, 5)), (3, (4, 5, 3)), (3, (4, 5, 3, 2)), (1, (4, 5, 3)),
     ])
     def test_gradients(self, experts, dims):
-        self.check_gradients(np.random.default_rng(70 + len(dims) + experts), experts, dims, 6)
+        self.check_gradients(np.random.default_rng(70 + len(dims) + experts), experts, dims,
+                             pages=2, per_page=3)
 
-    def test_gradients_across_row_blocks(self, monkeypatch):
-        monkeypatch.setattr(ag, "EXPERT_BLOCK", 4)  # 11 rows: blocks of 4, 4 and 3
-        self.check_gradients(np.random.default_rng(77), 3, (4, 5, 3, 2), 11)
+    def test_gradients_across_page_blocks(self, monkeypatch):
+        monkeypatch.setattr(ag, "EXPERT_BLOCK", 7)  # 3 rows a page: blocks of 2, 2 and 1 pages
+        self.check_gradients(np.random.default_rng(77), 3, (4, 5, 3, 2), pages=5, per_page=3)
 
-    def test_matches_broadcast_batched_formula(self):
+    @pytest.mark.parametrize("dims", [(7, 9, 5), (7, 9, 6, 5)])
+    def test_matches_broadcast_batched_formula(self, dims):
         rng = np.random.default_rng(75)
-        weights, biases = make_experts(rng, 4, (7, 9, 6, 5))
-        z = rng.uniform(-1, 1, (50, 7))
-        gamma = rng.dirichlet(np.ones(4), size=50)
-        out = ag.expert_mixture(Tensor(z), Tensor(gamma), weights, biases)
-        ref = broadcast_batched_mixture(z, gamma, [w.values for w in weights],
+        page, slot, gamma, weights, biases = make_mixture_inputs(rng, 4, dims, pages=10,
+                                                                 per_page=5, d_page=3)
+        out = ag.expert_mixture(page, slot, gamma, weights, biases)
+        ref = broadcast_batched_mixture(mixture_rows(page.values, slot.values), gamma.values,
+                                        [w.values for w in weights],
                                         [b.values for b in biases])
         np.testing.assert_allclose(out.values, ref, rtol=0.0, atol=1e-12)
 
-    def test_row_blocks_match_one_block(self, monkeypatch):
+    def test_page_blocks_match_one_block(self, monkeypatch):
         rng = np.random.default_rng(78)
-        z, gamma, weights, biases = make_mixture_inputs(rng, 3, (4, 5, 3, 2), rows=11)
-        g = rng.standard_normal((11, 2))
-        out = ag.expert_mixture(z, gamma, weights, biases)
-        monkeypatch.setattr(ag, "EXPERT_BLOCK", 11)
-        whole = out._vjp(g)
-        monkeypatch.setattr(ag, "EXPERT_BLOCK", 4)
-        blocked = out._vjp(g)
-        # each row of dz and d_gamma is computed from that row alone; the
-        # weight and bias gradients sum the blocks in a different order
-        for name, a, b in zip(["dz", "d_gamma"], blocked[:2], whole[:2]):
-            np.testing.assert_array_equal(a, b, err_msg=name)
-        for a, b in zip(blocked[2:], whole[2:]):
+        inputs = make_mixture_inputs(rng, 3, (4, 5, 3, 2), pages=5, per_page=3)
+        g = rng.standard_normal((15, 2))
+        monkeypatch.setattr(ag, "EXPERT_BLOCK", 15)
+        whole = ag.expert_mixture(*inputs)
+        monkeypatch.setattr(ag, "EXPERT_BLOCK", 7)
+        blocked = ag.expert_mixture(*inputs)
+        np.testing.assert_allclose(blocked.values, whole.values, rtol=1e-12, atol=0)
+        for a, b in zip(blocked._vjp(g), whole._vjp(g)):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
 
     def test_leaves_its_inputs_unchanged(self, monkeypatch):
-        monkeypatch.setattr(ag, "EXPERT_BLOCK", 4)
+        monkeypatch.setattr(ag, "EXPERT_BLOCK", 7)
         rng = np.random.default_rng(79)
-        z, gamma, weights, biases = make_mixture_inputs(rng, 3, (4, 5, 3, 2), rows=11)
-        g = rng.standard_normal((11, 2))
-        arrays = [g, z.values, gamma.values] + [t.values for t in weights + biases]
+        page, slot, gamma, weights, biases = make_mixture_inputs(rng, 3, (4, 5, 3, 2),
+                                                                 pages=5, per_page=3)
+        g = rng.standard_normal((15, 2))
+        arrays = [g, page.values, slot.values, gamma.values] + [
+            t.values for t in weights + biases]
         before = [a.copy() for a in arrays]
-        ag.expert_mixture(z, gamma, weights, biases)._vjp(g)
+        ag.expert_mixture(page, slot, gamma, weights, biases)._vjp(g)
         for a, b in zip(arrays, before):
             np.testing.assert_array_equal(a, b)
 
+    @staticmethod
+    def large_inputs():
+        """Inputs spanning four blocks, and the size of one (N, E, h1) activation array."""
+        experts, dims, per_page = 4, (16, 64, 16), 8
+        pages = 4 * ag.EXPERT_BLOCK // per_page
+        inputs = make_mixture_inputs(np.random.default_rng(80), experts, dims, pages, per_page)
+        return inputs, pages * per_page * experts * dims[1] * inputs[1].values.itemsize
+
+    def test_forward_retains_less_than_one_activation(self):
+        """Backward recomputes the activations, so the graph keeps less than one."""
+        inputs, activation = self.large_inputs()
+        tracemalloc.start()
+        try:
+            out = ag.expert_mixture(*inputs)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert retained < activation
+
     def test_backward_allocates_less_than_one_activation(self):
-        """Row blocks keep the vjp's peak below one (N, E, h1) activation array."""
-        rows, experts, dims = 4 * ag.EXPERT_BLOCK, 4, (16, 64, 16)
-        rng = np.random.default_rng(80)
-        z, gamma, weights, biases = make_mixture_inputs(rng, experts, dims, rows)
-        out = ag.expert_mixture(z, gamma, weights, biases)
-        g = rng.standard_normal(out.shape)
+        """Page blocks keep the vjp's peak below one (N, E, h1) activation array."""
+        inputs, activation = self.large_inputs()
+        out = ag.expert_mixture(*inputs)
+        g = np.random.default_rng(81).standard_normal(out.shape)
         tracemalloc.start()
         try:
             out._vjp(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < rows * experts * dims[1] * out.values.itemsize
+        assert peak < activation
 
     def test_no_grad_records_nothing(self):
         rng = np.random.default_rng(76)
-        weights, biases = make_experts(rng, 2, (3, 4, 2))
-        z = Tensor(rng.uniform(-1, 1, (5, 3)), requires_grad=True)
+        page, slot, gamma, weights, biases = make_mixture_inputs(rng, 2, (3, 4, 2),
+                                                                 pages=5, per_page=1)
         with ag.no_grad():
-            out = ag.expert_mixture(z, Tensor(np.full((5, 2), 0.5)), weights, biases)
+            out = ag.expert_mixture(page, slot, gamma, weights, biases)
         assert not out.requires_grad
         assert out._parents == () and out._vjp is None
 
-    def test_layer_shape_mismatch(self):
+    def test_shape_mismatch(self):
         rng = np.random.default_rng(77)
         weights, biases = make_experts(rng, 2, (3, 4, 2))
-        with pytest.raises(DimensionError):
-            ag.expert_mixture(Tensor(np.zeros((5, 4))), Tensor(np.zeros((5, 2))),
+        page, gamma = Tensor(np.zeros((2, 1))), Tensor(np.zeros((6, 2)))
+        with pytest.raises(DimensionError, match="width 4"):
+            ag.expert_mixture(page, Tensor(np.zeros((6, 3))), gamma, weights, biases)
+        with pytest.raises(DimensionError, match="take 3 experts"):
+            ag.expert_mixture(page, Tensor(np.zeros((6, 2))), Tensor(np.zeros((6, 3))),
                               weights, biases)
-        with pytest.raises(DimensionError):
-            ag.expert_mixture(Tensor(np.zeros((5, 3))), Tensor(np.zeros((5, 3))),
+        with pytest.raises(DimensionError, match="7 slot rows do not split into 2 pages"):
+            ag.expert_mixture(page, Tensor(np.zeros((7, 2))), Tensor(np.zeros((7, 2))),
                               weights, biases)
+
+
+def attention_inputs(rng, b=2, heads=2, nm=4, d_a=3):
+    """Queries, keys, values and positive factors requiring grad; key 3 of page 1 masked."""
+    q, k, val = (Tensor(rng.uniform(-1, 1, (b, heads, nm, d_a)), requires_grad=True)
+                 for _ in range(3))
+    factor = Tensor(rng.uniform(0.2, 1.0, (heads, nm, nm)), requires_grad=True)
+    mask = np.ones((b, nm))
+    mask[1, 3] = 0.0
+    bias = ((1.0 - mask) * -1e9)[:, None, None, :]
+    return q, k, val, factor, bias
+
+
+def reference_attention(q, k, val, bias, factor):
+    """The unfused graph: matmul, softplus, factor, scale, bias, softmax, matmul."""
+    raw = ag.matmul(q, ag.transpose(k))
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    logits = raw * scale if factor is None else ag.softplus(raw) * (factor * scale)
+    return ag.matmul(ag.softmax(logits + bias, axis=-1), val)
+
+
+class TestSpatialAttention:
+    @pytest.mark.parametrize("scaled", [True, False], ids=["factor", "plain"])
+    def test_gradients(self, scaled):
+        q, k, val, factor, bias = attention_inputs(np.random.default_rng(82))
+        probe = Tensor(np.random.default_rng(83).uniform(-1, 1, q.shape))
+        factor_in = factor if scaled else None
+
+        def model():
+            return (ag.tanh(ag.spatial_attention(q, k, val, bias, factor_in)) * probe).sum()
+
+        params = {"q": q, "k": k, "val": val}
+        if scaled:
+            params["factor"] = factor
+        report = finite_diff_check(model, params, tol_rel=1e-4)
+        assert report.passed, report.lines()
+
+    @pytest.mark.parametrize("scaled", [True, False], ids=["factor", "plain"])
+    def test_matches_unfused_graph(self, scaled):
+        q, k, val, factor, bias = attention_inputs(np.random.default_rng(84))
+        factor_in = factor if scaled else None
+        out = ag.spatial_attention(q, k, val, bias, factor_in)
+        ref = reference_attention(q, k, val, bias, factor_in)
+        np.testing.assert_allclose(out.values, ref.values, rtol=0, atol=1e-12)
+        g = np.random.default_rng(85).standard_normal(out.shape)
+        (ref * g).sum().backward()
+        expected = [t.grad for t in out._parents]
+        for got, want in zip(out._vjp(g), expected):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # the masked key takes no attention, so its value row takes no gradient
+        np.testing.assert_array_equal(out._vjp(g)[2][1, :, 3], 0.0)
+
+    def test_graph_keeps_at_most_two_score_arrays(self):
+        q, k, val, factor, bias = attention_inputs(np.random.default_rng(86))
+        square = q.shape[:3] + (q.shape[2],)
+        for factor_in, most in [(factor, 2), (None, 1)]:
+            out = ag.spatial_attention(q, k, val, bias, factor_in)
+            held = [cell.cell_contents for cell in out._vjp.__closure__]
+            arrays = [x.values if isinstance(x, Tensor) else x for x in held]
+            kept = [a for a in arrays if isinstance(a, np.ndarray) and a.shape == square]
+            assert len(kept) <= most
+
+    def test_leaves_its_inputs_unchanged(self):
+        q, k, val, factor, bias = attention_inputs(np.random.default_rng(87))
+        g = np.random.default_rng(88).standard_normal(q.shape)
+        arrays = [g, bias, q.values, k.values, val.values, factor.values]
+        before = [a.copy() for a in arrays]
+        ag.spatial_attention(q, k, val, bias, factor)._vjp(g)
+        ag.spatial_attention(q, k, val, bias)._vjp(g)
+        for a, b in zip(arrays, before):
+            np.testing.assert_array_equal(a, b)
+
+    def test_non_finite_logit_refused(self):
+        q, k, val, factor, bias = attention_inputs(np.random.default_rng(89))
+        q.values[0, 1, 2, 0] = np.inf
+        for factor_in in (factor, None):
+            with pytest.raises(NumericError, match="softmax requires finite input"):
+                ag.spatial_attention(q, k, val, bias, factor_in)
+
+    def test_float32_stays_float32(self):
+        q, k, val, factor, bias = attention_inputs(np.random.default_rng(90))
+        f32 = [Tensor(t.values.astype(np.float32), requires_grad=True)
+               for t in (q, k, val, factor)]
+        out = ag.spatial_attention(*f32[:3], bias, f32[3])
+        assert out.values.dtype == np.float32
+        out.sum().backward()
+        assert {t.grad.dtype for t in f32} == {np.dtype(np.float32)}
 
 
 class TestGraph:
@@ -402,6 +519,18 @@ class TestGraph:
         with pytest.raises(ContractError):
             ag.gather(table, np.array([4]))
 
+    def test_gather_gradient_matches_add_at_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        table = Tensor(rng.standard_normal((9, 5)), requires_grad=True)
+        ids = rng.integers(0, 10, (64, 4, 3))  # repeats, and the padding id 0
+        assert (ids == 0).any() and len(np.unique(ids)) < ids.size
+        g = rng.standard_normal(ids.shape + (5,))
+        expected = np.zeros((10, 5))
+        np.add.at(expected, ids, g)
+        (grad,) = ag.gather(table, ids)._vjp(g)
+        assert grad.dtype == g.dtype
+        np.testing.assert_array_equal(grad, expected[1:])
+
 
 class TestDtype:
     """A graph computes in its inputs' dtype: float32 stays float32, all else is float64."""
@@ -431,19 +560,17 @@ class TestDtype:
         assert loss.values.dtype == x.grad.dtype == w.grad.dtype == self.F32
 
     def test_expert_mixture_in_float32(self, monkeypatch):
-        monkeypatch.setattr(ag, "EXPERT_BLOCK", 4)  # 6 rows: blocks of 4 and 2
+        monkeypatch.setattr(ag, "EXPERT_BLOCK", 4)  # 3 pages of 2 rows: blocks of 2 and 1
         rng = np.random.default_rng(91)
-        weights, biases = make_experts(rng, 3, (4, 5, 3, 2))
-        z, gamma = rng.uniform(-1, 1, (6, 4)), rng.dirichlet(np.ones(3), size=6)
-        ref = ag.expert_mixture(Tensor(z), Tensor(gamma), weights, biases)
-        f32 = [Tensor(t.values.astype(np.float32), requires_grad=True)
-               for t in weights + biases]
-        z32 = Tensor(z.astype(np.float32), requires_grad=True)
-        out = ag.expert_mixture(z32, Tensor(gamma.astype(np.float32)), f32[:3], f32[3:])
+        inputs = make_mixture_inputs(rng, 3, (4, 5, 3, 2), pages=3, per_page=2)
+        ref = ag.expert_mixture(*inputs)
+        f32 = [Tensor(t.values.astype(np.float32), requires_grad=True) for t in
+               inputs[0:3] + tuple(inputs[3] + inputs[4])]
+        out = ag.expert_mixture(*f32[:3], f32[3:6], f32[6:])
         assert out.values.dtype == self.F32
         np.testing.assert_allclose(out.values, ref.values, rtol=0, atol=1e-5)
         out.sum().backward()
-        assert {t.grad.dtype for t in f32 + [z32]} == {self.F32}
+        assert {t.grad.dtype for t in f32} == {self.F32}
 
     def test_concat_and_reshape_roundtrip_gradient(self):
         rng = np.random.default_rng(9)

@@ -59,8 +59,15 @@ def _field_cases():
     """(key, source, value): a wrong type, 0, -1, and nan and inf for a float key.
 
     `source` says whether the value goes through a config file's text or a
-    checkpoint header's dict; a str key's text is always a str.
+    checkpoint header's dict; a str key's text is always a str. A list value
+    is given its own id, such as `dense_hidden-dict-[8.0,4]`, so that a case's
+    id does not depend on its position among all the cases.
     """
+    def case(key, source, value):
+        if isinstance(value, list):
+            return pytest.param(key, source, value, id=f"{key}-{source}-{value!r}".replace(" ", ""))
+        return key, source, value
+
     wrong = {int: [("text", "2.5"), ("dict", 2.0), ("dict", True)],
              float: [("text", "abc"), ("dict", "0.1"), ("dict", True)],
              tuple: [("text", "8.0,4"), ("dict", [8.0, 4]), ("dict", 8)],
@@ -70,9 +77,9 @@ def _field_cases():
         kind = type(f.default)
         values = [0, -1] + ([math.nan, math.inf] if kind is float else [])
         spelled = [[v] if kind is tuple else v for v in values]
-        cases += [(f.name, source, value) for source, value in wrong[kind]]
-        cases += [(f.name, "text", str(v)) for v in values]
-        cases += [(f.name, "dict", v) for v in spelled]
+        cases += [case(f.name, source, value) for source, value in wrong[kind]]
+        cases += [case(f.name, "text", str(v)) for v in values]
+        cases += [case(f.name, "dict", v) for v in spelled]
     return cases
 
 

@@ -1,5 +1,6 @@
 """Synthetic page construction and the oracle click model."""
 
+import gc
 import json
 
 import numpy as np
@@ -526,6 +527,37 @@ class TestSerialization:
         text = pages_to_jsonl(train[:2])
         with pytest.raises(DataError, match="page line 2: not JSON"):
             pages_from_jsonl(text[:-20])
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_record_builders_restore_the_collector(self, enabled):
+        """The records are built with the cyclic GC paused, and its state comes back."""
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            _, train, _ = build_dataset(small_config())  # its records: `_page_records`
+            assert gc.isenabled() is enabled
+            text = pages_to_jsonl(train[:3])
+            pages_from_jsonl(text)
+            assert gc.isenabled() is enabled
+            with pytest.raises(DataError, match="page line 2: not JSON"):
+                pages_from_jsonl(text.replace("\n", "\n{", 1))
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+
+    def test_record_builders_pause_the_collector(self, monkeypatch):
+        seen = []
+        record = data_oracle.ListRecord
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return record(*args, **kwargs)
+
+        monkeypatch.setattr(data_oracle, "ListRecord", spy)
+        assert gc.isenabled()
+        _, train, _ = build_dataset(small_config())
+        pages_from_jsonl(pages_to_jsonl(train[:3]))
+        assert seen and not any(seen)
 
     def test_malformed_catalog_rejected(self, tmp_path):
         catalog = Catalog.build(3, 5, 4, seed=2)

@@ -65,14 +65,14 @@ GOLDEN_SHA256 = {
     "pages.catalog.json":
         "b91b8672a519e8e1fbe651fda8167e9906d8ac6ad496e7a55bac2e5304a48ae6",
     "model.ckpt":
-        "89e5dd8dd8b44ad1021570a149de80aa848d97891157ab89d95419387240bb18",
+        "17a92fb3fb1dfba44e5ffb08e92533425834296d743c4ff0378df8b90b6a84e7",
     "report.csv":
         "28c8faf941c16be23e985f5f70718dfa7fb8eeb8d88b46ebefa38e178dc001df",
     "report.json":
         "6600ab3ec47445d50527f5bd8c38092cb247768fc6a60b94c4a177f80803539d",
 }
 
-GOLDEN_PAYLOAD_SHA256 = "c180b1ac870520d6d1827feaafa5c2450831f177b2f40bac342ed08e3407054b"
+GOLDEN_PAYLOAD_SHA256 = "6cc319869d07cd5bd9e1fe160d9551d0d764da9e1d9dcb530492c58b999e75a7"
 
 # configs/desk.cfg, seed 0: catalog JSON, then the train and the test JSONL
 DESK_DATASET_SHA256 = "42930acd958bb2eade1a293baa39e1b84a52c283955799f4687f927ca09ea989"

@@ -172,21 +172,24 @@ class TestSpatialScaledAttention:
         out = spatial_scaled_attention(Tensor(x), dist, params, mask)
         np.testing.assert_array_equal(out.values[0, 2], 0.0)
 
-    def test_gradients_including_steepness(self):
+    @pytest.mark.parametrize("with_v", [True, False], ids=["PAR", "PAR-scale"])
+    def test_gradients_with_a_masked_key(self, with_v):
         rng = np.random.default_rng(7)
         d_x, d_a, d_o = 3, 2, 2
-        params = make_params(rng, heads=2, d_x=d_x, d_a=d_a, d_o=d_o)
+        params = make_params(rng, heads=2, d_x=d_x, d_a=d_a, d_o=d_o, with_v=with_v)
         lay = stacked_preset(2, 2)
         dist = manhattan_distance_matrix(lay)
-        x = Tensor(rng.uniform(-1, 1, (1, 4, d_x)), requires_grad=True)
-        mask = np.ones((1, 4))
+        x = Tensor(rng.uniform(-1, 1, (2, 4, d_x)), requires_grad=True)
+        mask = np.ones((2, 4))
+        mask[1, 2] = 0.0
 
         def model():
             out = spatial_scaled_attention(x, dist, params, mask)
             return ag.tanh(out).sum()
 
-        report = finite_diff_check(model, {
-            "x": x, "w_q": params.w_q, "w_k": params.w_k, "w_v": params.w_v,
-            "v": params.v, "w_o": params.w_o,
-        })
+        tensors = {"x": x, "w_q": params.w_q, "w_k": params.w_k, "w_v": params.w_v,
+                   "w_o": params.w_o}
+        if with_v:
+            tensors["v"] = params.v
+        report = finite_diff_check(model, tensors)
         assert report.passed, report.lines()
