@@ -617,6 +617,18 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return _make(out, tuple(tensors), vjp)
 
 
+def slice_axis(x: Tensor, start: int, stop: int, axis: int) -> Tensor:
+    """Entries start:stop of `axis`; backward places g in zeros of x's shape."""
+    key = (slice(None),) * (axis % x.ndim) + (slice(start, stop),)
+
+    def vjp(g):
+        grad = np.zeros_like(x.values)
+        grad[key] = g
+        return (grad,)
+
+    return _make(x.values[key], (x,), vjp)
+
+
 def gather(table: Tensor, ids: Array) -> Tensor:
     """Row lookup with id 0 as padding; backward sums into the table rows.
 

@@ -101,6 +101,8 @@ class TrainConfig:
             raise ConfigError(f"unknown variant '{self.variant}' (choose from {list(VARIANTS)})")
         if self.layout not in PRESETS:
             raise ConfigError(f"unknown layout '{self.layout}' (choose from {sorted(PRESETS)})")
+        if self.d_h != self.d_x:  # the history is embedded by the candidates' tables
+            raise ConfigError(f"d_h must equal d_x, got d_h={self.d_h} and d_x={self.d_x}")
         if not self.expert_hidden or not self.tower_hidden:
             raise ConfigError("expert_hidden and tower_hidden must be non-empty")
         if self.themes < self.n:

@@ -33,8 +33,7 @@ from .hds_attn import (AggregationParams, DualSideParams, candidate_self_attenti
                        dual_side_attention, item_level_aggregation,
                        list_level_aggregation, list_level_self_attention)
 from .layout import PageLayout, manhattan_distance_matrix
-from .scoring import (MMoEParams, Mlp, bce_loss, dense_network, glorot, mmoe_score,
-                      single_mlp_score)
+from .scoring import MMoEParams, Mlp, bce_loss, dense_network, glorot, mmoe_score
 from .ss_attn import SSAttnParams, spatial_scaled_attention
 
 
@@ -68,12 +67,6 @@ class ParModel:
 
         self.item_table = self._table("emb.item", c.vocab_size, c.d_x)
         self.category_table = self._table("emb.category", c.n_categories, c.d_x)
-        if c.d_h == c.d_x:
-            self.hist_item_table = self.item_table
-            self.hist_category_table = self.category_table
-        else:
-            self.hist_item_table = self._table("emb.item_hist", c.vocab_size, c.d_h)
-            self.hist_category_table = self._table("emb.category_hist", c.n_categories, c.d_h)
 
         self.dual: DualSideParams | None = None
         self.agg: AggregationParams | None = None
@@ -121,7 +114,8 @@ class ParModel:
                                  (c.expert_hidden[-1],) + c.tower_hidden + (1,), stack=(c.n,)),
             )
         else:
-            self.head = self._mlp("head.w", "head.b", (d_z,) + c.expert_hidden + (1,))
+            self.head = self._mlp("head.w", "head.b", (d_z,) + c.expert_hidden + (1,),
+                                  stack=(1,))
 
         # a training term, not a component: no ablation removes it
         self.exam_logit = self._zeros("exam.logit", (c.n, c.m))
@@ -211,7 +205,7 @@ class ParModel:
             if self.dual is None:
                 x_t, h_t = candidate_self_attention(x_emb, batch.mask), zeros(b, n, m, c.d_h)
             else:
-                h_emb = embed_history(batch, self.hist_item_table, self.hist_category_table)
+                h_emb = embed_history(batch, self.item_table, self.category_table)
                 x_t, h_t = dual_side_attention(x_emb, h_emb, self.dual,
                                                batch.mask, batch.history_mask)
             pooled = item_level_aggregation(x_t, h_t, self.agg, batch.mask)
@@ -230,9 +224,13 @@ class ParModel:
         else:
             dense_feat = dense_network(x_emb, self.dense)
 
-        if self.moe is None:
-            return single_mlp_score(page_vec, dense_feat, influence, self.head)
-        return mmoe_score(page_vec, dense_feat, influence, self.moe)
+        if self.moe is not None:
+            return mmoe_score(page_vec, dense_feat, influence, self.moe)
+        # the mixture ablation's one shared network: a one-expert stack, its gate all ones
+        slot = ag.reshape(ag.concat([dense_feat, influence], axis=-1), (b * n * m, -1))
+        ones = Tensor(np.ones((b * n * m, 1), dtype=slot.values.dtype))
+        out = ag.expert_mixture(page_vec, slot, ones, self.head.weights, self.head.biases)
+        return ag.sigmoid(ag.reshape(out, (b, n, m)))
 
     def loss(self, batch: PageBatch) -> tuple[Tensor, Tensor]:
         """Masked mean binary cross-entropy of the clicks, and the relevance scores.

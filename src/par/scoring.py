@@ -1,9 +1,11 @@
 """Per-item dense features, mixture-of-experts scoring, loss, and reranking.
 
-Every slot is scored from the concatenation of the shared page vector, its
-dense feature, and its pairwise-influence vector. Experts are shared across
-lists; each list owns a gate and a tower. The tower ends in a logistic
-squashing so scores live in (0, 1) as the cross-entropy loss requires.
+Every slot is scored from the shared page vector, its dense feature, and its
+pairwise-influence vector. The page vector's part of the gates and of the
+experts' first layer is computed once per page, and the [dense feature |
+influence] part once per slot. Experts are shared across lists; each list
+owns a gate and a tower. The tower ends in a logistic squashing so scores
+live in (0, 1) as the cross-entropy loss requires.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class MMoEParams:
     """Shared experts plus one gate and one tower per list."""
 
     experts: Mlp     # stacked on (E,)
-    gate_w: Tensor   # (n, d_z, E)
+    gate_w: Tensor   # (n, d_z, E), the page vector's d_l rows first
     gate_b: Tensor   # (n, E)
     towers: Mlp      # stacked on (n,)
 
@@ -66,48 +68,34 @@ def dense_network(x_emb: Tensor, params: Mlp) -> Tensor:
     return mlp(x_emb, params)
 
 
-def _slot_input(page_vec: Tensor, dense_feat: Tensor, influence: Tensor) -> Tensor:
-    """Per-slot scoring input concat([page, dense_feat, influence]): (b, n, m, d_z)."""
-    b, n, m, _ = dense_feat.shape
-    d_l = page_vec.shape[-1]
-    page = ag.broadcast_to(ag.reshape(page_vec, (b, 1, 1, d_l)), (b, n, m, d_l))
-    return ag.concat([page, dense_feat, influence], axis=-1)
-
-
 def mmoe_score(page_vec: Tensor, dense_feat: Tensor, influence: Tensor,
                params: MMoEParams) -> Tensor:
     """Mixture-of-experts scores for every slot: (b, n, m) in (0, 1).
 
-    page_vec: (b, d_l) broadcast to all slots; dense_feat: (b, n, m, d_r);
-    influence: (b, n, m, d_o). Gate vectors, read from the concatenated slot
-    input, are softmax-normalized over the experts; the experts take the page
-    vector once per page and the [dense_feat | influence] columns per slot
-    (`ag.expert_mixture`); each list's tower squashes its combined expert
-    output.
+    page_vec: (b, d_l), shared by all of a page's slots; dense_feat:
+    (b, n, m, d_r); influence: (b, n, m, d_o). The gates and the experts read
+    the page vector once per page and the [dense_feat | influence] columns per
+    slot: a list's gate logits are page @ gate_w[:, :d_l] + slot @
+    gate_w[:, d_l:] + gate_b, softmax-normalized over the experts, and the
+    experts run in `ag.expert_mixture`; each list's tower squashes its
+    combined expert output.
     """
     b, n, m, _ = dense_feat.shape
-    if params.gate_w.shape[0] != n:
-        raise ContractError(f"params built for {params.gate_w.shape[0]} lists, batch has {n}")
-    z = _slot_input(page_vec, dense_feat, influence)
-
-    n_experts = params.gate_w.shape[-1]
-    gate_logits = ag.matmul(z, params.gate_w) + ag.reshape(params.gate_b, (n, 1, n_experts))
+    w, d_l, n_experts = params.gate_w, page_vec.shape[-1], params.gate_w.shape[-1]
+    if w.shape[0] != n:
+        raise ContractError(f"params built for {w.shape[0]} lists, batch has {n}")
+    slot = ag.concat([dense_feat, influence], axis=-1)
+    gate_page = ag.matmul(ag.reshape(page_vec, (b, 1, 1, d_l)),
+                          ag.slice_axis(w, 0, d_l, axis=1))                 # (b, n, 1, E)
+    gate_slot = ag.matmul(slot, ag.slice_axis(w, d_l, w.shape[1], axis=1))  # (b, n, m, E)
+    gate_logits = gate_page + gate_slot + ag.reshape(params.gate_b, (n, 1, n_experts))
     gamma = ag.softmax(gate_logits, axis=-1)                       # (b, n, m, E)
 
-    slot = ag.concat([dense_feat, influence], axis=-1)
     mixed = ag.expert_mixture(page_vec, ag.reshape(slot, (b * n * m, slot.shape[-1])),
                               ag.reshape(gamma, (b * n * m, n_experts)),
                               params.experts.weights, params.experts.biases)
     combined = ag.reshape(mixed, (b, n, m, mixed.shape[-1]))
     return ag.sigmoid(ag.reshape(mlp(combined, params.towers), (b, n, m)))
-
-
-def single_mlp_score(page_vec: Tensor, dense_feat: Tensor, influence: Tensor,
-                     params: Mlp) -> Tensor:
-    """Shared-MLP head (mixture ablation): (b, n, m) in (0, 1)."""
-    b, n, m, _ = dense_feat.shape
-    z = _slot_input(page_vec, dense_feat, influence)
-    return ag.sigmoid(ag.reshape(mlp(z, params), (b, n, m)))
 
 
 def bce_loss(y_hat: Tensor, y: np.ndarray, mask: np.ndarray) -> Tensor:

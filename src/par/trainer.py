@@ -277,8 +277,7 @@ def gradcheck(config: TrainConfig | None = None, h: float = 3e-4,
     truncation error for this composed loss; per-op checks use h=1e-5.
     """
     config = config or tiny_gradcheck_config()
-    limits = {"n": 2, "m": 3, "t": 2, "d_x": 4, "d_h": 4, "d_a": 4, "d_o": 4,
-              "d_r": 4, "experts": 2}
+    limits = {"n": 2, "m": 3, "t": 2, "d_x": 4, "d_a": 4, "d_o": 4, "d_r": 4, "experts": 2}
     for name, cap in limits.items():
         if getattr(config, name) > cap:
             raise ConfigError(f"gradcheck needs a tiny config: {name} <= {cap}, "

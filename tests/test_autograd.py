@@ -277,6 +277,29 @@ class TestExpertMixture:
         self.check_gradients(np.random.default_rng(70 + len(dims) + experts), experts, dims,
                              pages=2, per_page=3)
 
+    def test_one_expert_stack_is_a_plain_mlp(self):
+        """PAR-MMoE's head: one expert of three layers, unit gates and an (N, 1) output."""
+        rng = np.random.default_rng(74)
+        page, slot, _, weights, biases = make_mixture_inputs(rng, 1, (6, 5, 4, 1),
+                                                             pages=4, per_page=3)
+        ones = Tensor(np.ones((12, 1)))
+        out = ag.expert_mixture(page, slot, ones, weights, biases)
+        x = mixture_rows(page.values, slot.values)
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            x = x @ w.values[0] + b.values[0]
+            x = np.maximum(x, 0.0) if i < len(weights) - 1 else x
+        assert out.shape == (12, 1)
+        np.testing.assert_allclose(out.values, x, rtol=1e-12, atol=1e-15)
+
+        def model():
+            return ag.tanh(ag.expert_mixture(page, slot, ones, weights, biases)).sum()
+
+        params = {"page": page, "slot": slot}
+        params.update({f"w{i}": w for i, w in enumerate(weights)})
+        params.update({f"b{i}": b for i, b in enumerate(biases)})
+        report = finite_diff_check(model, params, tol_rel=1e-4)
+        assert report.passed, report.lines()
+
     def test_gradients_across_page_blocks(self, monkeypatch):
         monkeypatch.setattr(ag, "EXPERT_BLOCK", 7)  # 3 rows a page: blocks of 2, 2 and 1 pages
         self.check_gradients(np.random.default_rng(77), 3, (4, 5, 3, 2), pages=5, per_page=3)
@@ -590,6 +613,27 @@ class TestDtype:
         w = rng.uniform(-1, 1, (2, 4, 3))
         (ag.transpose(a) * Tensor(w)).sum().backward()
         np.testing.assert_allclose(a.grad, w.swapaxes(-1, -2), atol=1e-12)
+
+    @pytest.mark.parametrize("start, stop, axis", [(0, 2, 1), (2, 5, 1), (1, 3, -1)])
+    def test_slice_axis_gradient(self, start, stop, axis):
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.uniform(-1, 1, (3, 5, 4)), requires_grad=True)
+        want = x.values[:, start:stop] if axis == 1 else x.values[..., start:stop]
+        np.testing.assert_array_equal(ag.slice_axis(x, start, stop, axis=axis).values, want)
+        probe = rng.uniform(-1, 1, want.shape)
+
+        def model():
+            return (ag.tanh(ag.slice_axis(x, start, stop, axis=axis)) * probe).sum()
+
+        report = finite_diff_check(model, {"x": x}, tol_rel=1e-4)
+        assert report.passed, report.lines()
+
+    def test_slice_axis_in_float32(self):
+        x = Tensor(np.arange(12, dtype=np.float32).reshape(3, 4), requires_grad=True)
+        out = ag.slice_axis(x, 1, 3, axis=1)
+        (out * 2.0).sum().backward()
+        assert out.values.dtype == x.grad.dtype == self.F32
+        np.testing.assert_array_equal(x.grad, np.tile([0.0, 2.0, 2.0, 0.0], (3, 1)))
 
     def test_broadcast_to_gradient(self):
         a = Tensor(np.array([[1.0], [2.0]]), requires_grad=True)

@@ -133,6 +133,15 @@ class TestConfigFile:
         assert re.search(rf"^{key} must be |key '{key}'|^unknown {key} ", str(caught.value)), \
             str(caught.value)
 
+    @pytest.mark.parametrize("source", ["text", "dict"])
+    def test_history_width_must_equal_candidate_width(self, source):
+        with pytest.raises(ConfigError) as caught:
+            if source == "text":
+                parse_config_text("d_x = 8\nd_h = 4\n")
+            else:
+                config_from_dict({"d_x": 8, "d_h": 4})
+        assert str(caught.value) == "d_h must equal d_x, got d_h=4 and d_x=8"
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config_text("just some words\n")
@@ -493,6 +502,37 @@ class TestErrorSurface:
         assert main([command, "--checkpoint", str(stale), "--data", str(data),
                      "--out", str(tmp_path / "out")]) == 1
         self._single_error_line(capsys, "ContractError", "'exam.logit'")
+
+    @pytest.mark.parametrize("command", ["eval", "rerank"])
+    def test_checkpoint_with_an_unstacked_shared_head_single_line_error(
+            self, workspace, tmp_path, capsys, command):
+        """A PAR-MMoE checkpoint from before its head became a one-expert stack is refused."""
+        root, config, data = workspace
+        cfg = parse_config_text(TINY_CONFIG + "variant = PAR-MMoE\n")
+        model = ParModel(cfg, cfg.build_layout(), cfg.seed)
+        tensors = {name: p.values[0] if name.startswith("head.") else p.values
+                   for name, p in model.params.items()}
+        stale = tmp_path / "old.ckpt"
+        Checkpoint(config=cfg, epoch=1, loss_history=[0.5], tensors=tensors).save(stale)
+        capsys.readouterr()
+        assert main([command, "--checkpoint", str(stale), "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == ("error: ContractError: stored tensor 'head.w0' has "
+                                           "shape (32, 16), model expects (1, 32, 16)\n")
+
+    @pytest.mark.parametrize("command", ["eval", "rerank"])
+    def test_checkpoint_with_its_own_history_width_single_line_error(
+            self, workspace, checkpoint, tmp_path, capsys, command):
+        """A header whose `d_h` differs from its `d_x` is refused, as a config file is."""
+        root, config, data = workspace
+        stale = tmp_path / "old.ckpt"
+        stale.write_bytes(_edit_header(checkpoint.read_bytes(),
+                                       lambda header: header["config"].update(d_h=4)))
+        capsys.readouterr()
+        assert main([command, "--checkpoint", str(stale), "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == \
+            "error: ConfigError: d_h must equal d_x, got d_h=4 and d_x=8\n"
 
     @pytest.mark.parametrize("command", ["eval", "rerank"])
     def test_checkpoint_with_removed_config_keys_single_line_error(

@@ -65,14 +65,14 @@ GOLDEN_SHA256 = {
     "pages.catalog.json":
         "b91b8672a519e8e1fbe651fda8167e9906d8ac6ad496e7a55bac2e5304a48ae6",
     "model.ckpt":
-        "17a92fb3fb1dfba44e5ffb08e92533425834296d743c4ff0378df8b90b6a84e7",
+        "7aa726cdc9f4d7be31722f91dbdcc574d52f97e30e271c1e7a4dba82ed6162dc",
     "report.csv":
         "28c8faf941c16be23e985f5f70718dfa7fb8eeb8d88b46ebefa38e178dc001df",
     "report.json":
         "6600ab3ec47445d50527f5bd8c38092cb247768fc6a60b94c4a177f80803539d",
 }
 
-GOLDEN_PAYLOAD_SHA256 = "6cc319869d07cd5bd9e1fe160d9551d0d764da9e1d9dcb530492c58b999e75a7"
+GOLDEN_PAYLOAD_SHA256 = "abd7775dea6a2c3455a706bedb0b2fd5432dd4e8314683f7118ebbf83c33fb9c"
 
 # configs/desk.cfg, seed 0: catalog JSON, then the train and the test JSONL
 DESK_DATASET_SHA256 = "42930acd958bb2eade1a293baa39e1b84a52c283955799f4687f927ca09ea989"

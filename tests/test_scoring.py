@@ -8,8 +8,7 @@ import pytest
 from par import autograd as ag
 from par.autograd import Tensor, finite_diff_check
 from par.errors import ContractError
-from par.scoring import (MMoEParams, Mlp, bce_loss, dense_network, mlp, mmoe_score,
-                         rerank, single_mlp_score)
+from par.scoring import MMoEParams, Mlp, bce_loss, dense_network, mlp, mmoe_score, rerank
 
 
 def make_dense(rng, dims, zero=False, stack=()):
@@ -116,6 +115,32 @@ class TestMmoeScore:
         gamma = e / e.sum(-1, keepdims=True)
         np.testing.assert_allclose(gamma.sum(-1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype, rtol, atol", [(np.float64, 1e-12, 0.0),
+                                                   (np.float32, 0.0, 1e-5)],
+                             ids=["float64", "float32"])
+    def test_page_once_gate_logits_match_the_concatenated_input(self, monkeypatch, dtype,
+                                                                rtol, atol):
+        """Gate logits in the inputs' dtype, equal to concat([page, dense, infl]) @ W + b."""
+        rng = np.random.default_rng(10)
+        n, d_l, d_r, d_o = 3, 5, 4, 6
+        moe = make_moe(rng, n, d_l + d_r + d_o, experts=4, e_dims=(5, 4), t_dims=(3,))
+        page = rng.uniform(-1, 1, (2, d_l))
+        dense = rng.uniform(-1, 1, (2, n, 7, d_r))
+        infl = rng.uniform(-1, 1, (2, n, 7, d_o))
+        z = np.concatenate([np.broadcast_to(page[:, None, None], (2, n, 7, d_l)), dense, infl],
+                           axis=-1)
+        want = z @ moe.gate_w.values + moe.gate_b.values[:, None, :]
+        for t in (moe.gate_w, moe.gate_b, *moe.experts.weights, *moe.experts.biases,
+                  *moe.towers.weights, *moe.towers.biases):
+            t.values = t.values.astype(dtype)
+        logits = []
+        softmax = ag.softmax
+        monkeypatch.setattr(ag, "softmax", lambda x, axis: logits.append(x.values)
+                            or softmax(x, axis))
+        mmoe_score(*(Tensor(x.astype(dtype)) for x in (page, dense, infl)), moe)
+        assert len(logits) == 1 and logits[0].dtype == dtype
+        np.testing.assert_allclose(logits[0], want, rtol=rtol, atol=atol)
+
     def test_list_count_contract(self):
         rng = np.random.default_rng(6)
         moe = make_moe(rng, 2, 8, experts=2, e_dims=(4, 3), t_dims=(3,))
@@ -145,17 +170,6 @@ class TestMmoeScore:
         names.update({f"t_b{i}": b for i, b in enumerate(moe.towers.biases)})
         report = finite_diff_check(model, names)
         assert report.passed, report.lines()
-
-
-class TestSingleMlpHead:
-    def test_shapes_and_range(self):
-        rng = np.random.default_rng(8)
-        params = make_dense(rng, (8, 5, 3, 1))
-        y = single_mlp_score(Tensor(rng.uniform(-1, 1, (2, 3))),
-                             Tensor(rng.uniform(-1, 1, (2, 2, 2, 2))),
-                             Tensor(rng.uniform(-1, 1, (2, 2, 2, 3))), params)
-        assert y.shape == (2, 2, 2)
-        assert np.all((y.values > 0) & (y.values < 1))
 
 
 class TestBceLoss:
