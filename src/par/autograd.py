@@ -1,10 +1,15 @@
 """Dense tensors with reverse-mode differentiation, Adam, and the training loop.
 
-The graph is define-by-run: every forward pass records closures that map the
-output gradient back to the operand gradients. Values are numpy arrays and are
-treated as immutable once a tensor is built; only the ``grad`` slot mutates,
-and `backward` fills it on leaves only (parameters and inputs built with
-``requires_grad``), so a step holds no gradient of an interior tensor.
+The graph is define-by-run: every op that gradients can flow through records
+a `Node`: a closure that maps the output gradient back to the operand
+gradients, and where each operand's gradient goes. A node keeps only what
+its closure reads (shapes for the structural ops, the output of an
+activation, the input arrays of a product), never a tensor, so an
+intermediate that the forward drops is freed at once unless a vjp reads it.
+Values are numpy arrays and are treated as immutable once a tensor is built;
+only the ``grad`` slot mutates, and `backward` fills it on leaves only
+(parameters and inputs built with ``requires_grad``), so a step holds no
+gradient of an interior tensor.
 
 A graph computes in the dtype of its inputs. A float32 array stays float32;
 anything else (float64, ints, Python scalars, lists) becomes float64. A
@@ -58,20 +63,20 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 
 class Tensor:
-    """A numpy array plus a gradient slot and a backward recipe.
+    """A numpy array plus a gradient slot and the graph node that made it.
 
-    ``parents`` and ``vjp`` are populated only when gradients can flow, so
-    inference graphs carry no bookkeeping.
+    ``_node`` is set only on a tensor an op made while gradients could flow,
+    so inference graphs carry no bookkeeping. A tensor that requires grad and
+    has no node is a leaf.
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("values", "grad", "requires_grad", "_node")
 
-    def __init__(self, values, requires_grad: bool = False, _parents=(), _vjp=None):
+    def __init__(self, values, requires_grad: bool = False):
         self.values = _as_array(values)
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents = _parents
-        self._vjp = _vjp
+        self._node: Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -157,13 +162,34 @@ class no_grad:
         return False
 
 
-def _make(values: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    if not _grad_enabled:
-        return Tensor(values)
-    tracked = tuple(p for p in parents if p.requires_grad)
-    if not tracked:
-        return Tensor(values)
-    return Tensor(values, requires_grad=True, _parents=parents, _vjp=vjp)
+class Node:
+    """One recorded op: its vjp, and per input the target of that input's gradient.
+
+    `vjp` maps the output gradient to one gradient per input; it may give
+    None for an input that takes none. An input's entry in `inputs` is its
+    own node when an op made it, the tensor itself when it is a leaf, and
+    None when it takes no gradient.
+    """
+
+    __slots__ = ("vjp", "inputs")
+
+    def __init__(self, vjp: Callable, inputs: tuple):
+        self.vjp = vjp
+        self.inputs = inputs
+
+
+def _edge(t: Tensor) -> Node | Tensor | None:
+    if not t.requires_grad:
+        return None
+    return t if t._node is None else t._node
+
+
+def _make(values: Array, inputs: tuple[Tensor, ...], vjp) -> Tensor:
+    out = Tensor(values)
+    if _grad_enabled and any(t.requires_grad for t in inputs):
+        out.requires_grad = True
+        out._node = Node(vjp, tuple(_edge(t) for t in inputs))
+    return out
 
 
 # -- elementwise arithmetic ---------------------------------------------
@@ -175,9 +201,10 @@ def add(a, b) -> Tensor:
         out = a.values + b.values
     except ValueError:
         raise DimensionError(f"cannot broadcast {a.shape} + {b.shape}") from None
+    a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _make(out, (a, b), vjp)
 
@@ -188,9 +215,10 @@ def sub(a, b) -> Tensor:
         out = a.values - b.values
     except ValueError:
         raise DimensionError(f"cannot broadcast {a.shape} - {b.shape}") from None
+    a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
     return _make(out, (a, b), vjp)
 
@@ -201,10 +229,13 @@ def mul(a, b) -> Tensor:
         out = a.values * b.values
     except ValueError:
         raise DimensionError(f"cannot broadcast {a.shape} * {b.shape}") from None
+    a_shape, b_shape = a.shape, b.shape
+    av = a.values if b.requires_grad else None  # each operand is read for the other's grad
+    bv = b.values if a.requires_grad else None
 
     def vjp(g):
-        return (_unbroadcast(g * b.values, a.shape),
-                _unbroadcast(g * a.values, b.shape))
+        return (None if bv is None else _unbroadcast(g * bv, a_shape),
+                None if av is None else _unbroadcast(g * av, b_shape))
 
     return _make(out, (a, b), vjp)
 
@@ -234,8 +265,8 @@ def sigmoid(x: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.values, 0.0)
 
-    def vjp(g):
-        return (g * (x.values > 0.0),)
+    def vjp(g):  # out > 0 exactly where x > 0
+        return (g * (out > 0.0),)
 
     return _make(out, (x,), vjp)
 
@@ -252,10 +283,11 @@ def softplus(x: Tensor) -> Tensor:
 
 
 def log(x: Tensor) -> Tensor:
-    out = np.log(x.values)
+    xv = x.values
+    out = np.log(xv)
 
     def vjp(g):
-        return (g / x.values,)
+        return (g / xv,)
 
     return _make(out, (x,), vjp)
 
@@ -346,18 +378,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
+    av, bv = a.values, b.values
     try:
-        out = _matmul_forward(a.values, b.values)
+        out = _matmul_forward(av, bv)
     except ValueError:
         raise DimensionError(f"matmul batch dims disagree: {a.shape} @ {b.shape}") from None
 
     def vjp(g):
-        if b.ndim == 2 and a.ndim > 2:
-            da = (g.reshape(-1, g.shape[-1]) @ b.values.T).reshape(a.shape)
+        if bv.ndim == 2 and av.ndim > 2:
+            da = (g.reshape(-1, g.shape[-1]) @ bv.T).reshape(av.shape)
         else:
-            da = _unbroadcast(g @ b.values.swapaxes(-1, -2), a.shape)
-        db = _matmul_grad_b(a.values, g, b.shape)
-        return da, db
+            da = _unbroadcast(g @ bv.swapaxes(-1, -2), av.shape)
+        return da, _matmul_grad_b(av, g, bv.shape)
 
     return _make(out, (a, b), vjp)
 
@@ -382,9 +414,9 @@ def expert_mixture(page: Tensor, slot: Tensor, gamma: Tensor, weights: list[Tens
     last layer is one (rows, E*h) x (E*h, d_last) GEMM on the gate-scaled
     activations. Both passes walk whole pages, about `EXPERT_BLOCK` rows at a
     time, in activation buffers of one block that every block reuses, and
-    backward recomputes each block's hidden activations: the graph keeps no
-    activation, and no pass allocates one of the batch's size. Only arrays
-    this op allocates are written in place.
+    backward recomputes each block's hidden activations: the graph keeps only
+    the input arrays, and no pass allocates an activation of the batch's
+    size. Only arrays this op allocates are written in place.
     """
     page, slot, gamma = as_tensor(page), as_tensor(slot), as_tensor(gamma)
     if (page.ndim != 2 or slot.ndim != 2 or gamma.ndim != 2
@@ -407,15 +439,17 @@ def expert_mixture(page: Tensor, slot: Tensor, gamma: Tensor, weights: list[Tens
     step = max(1, EXPERT_BLOCK // per_page)
     blocks = [(p, min(p + step, n_pages)) for p in range(0, n_pages, step)]
     block_rows = min(step, n_pages) * per_page
-    h1 = weights[0].shape[-1]
-    w1 = weights[0].values.transpose(1, 0, 2).reshape(d_page + d_slot, n_experts * h1)
+    pv, sv, gv = page.values, slot.values, gamma.values
+    ws, bs = [w.values for w in weights], [b.values for b in biases]
+    h1 = ws[0].shape[-1]
+    w1 = ws[0].transpose(1, 0, 2).reshape(d_page + d_slot, n_experts * h1)
     w1_page, w1_slot = w1[:d_page], w1[d_page:]
-    b1 = biases[0].values.reshape(-1)
-    deep = len(weights) > 1
-    w_last = weights[-1].values.reshape(-1, width)   # (E * h, d_last) when deep
-    b_last = biases[-1].values
+    b1 = bs[0].reshape(-1)
+    deep = len(ws) > 1
+    w_last = ws[-1].reshape(-1, width)   # (E * h, d_last) when deep
+    b_last = bs[-1]
 
-    def buffers(layers: list[Tensor]) -> list[Array]:
+    def buffers(layers: list[Array]) -> list[Array]:
         """One (block rows, E, width) array per layer, reused by every block."""
         return [np.empty((block_rows, n_experts, w.shape[-1]), dtype=w1.dtype) for w in layers]
 
@@ -424,25 +458,25 @@ def expert_mixture(page: Tensor, slot: Tensor, gamma: Tensor, weights: list[Tens
         rows = slice(p0 * per_page, p1 * per_page)
         acts = [buf[:rows.stop - rows.start] for buf in bufs]
         first = acts[0].reshape(len(acts[0]), -1)
-        np.matmul(slot.values[rows], w1_slot, out=first)
+        np.matmul(sv[rows], w1_slot, out=first)
         by_page = first.reshape(p1 - p0, per_page, -1)
-        by_page += (page.values[p0:p1] @ w1_page + b1)[:, None]
-        for i, (w, b) in enumerate(zip(weights[1:-1], biases[1:-1]), 1):
+        by_page += (pv[p0:p1] @ w1_page + b1)[:, None]
+        for i, (w, b) in enumerate(zip(ws[1:-1], bs[1:-1]), 1):
             prev, nxt = acts[i - 1], acts[i]
             np.maximum(prev, 0.0, out=prev)
             for e in range(n_experts):
-                np.matmul(prev[:, e], w.values[e], out=nxt[:, e])
-            nxt += b.values
+                np.matmul(prev[:, e], w[e], out=nxt[:, e])
+            nxt += b
         if deep:
             np.maximum(acts[-1], 0.0, out=acts[-1])
         return acts
 
-    hidden_layers = weights[:-1] if deep else weights
+    hidden_layers = ws[:-1] if deep else ws
     out = np.empty((n_rows, width), dtype=w1.dtype)
     bufs = buffers(hidden_layers)
     for p0, p1 in blocks:
         rows = slice(p0 * per_page, p1 * per_page)
-        acts, gm = hidden(p0, p1, bufs), gamma.values[rows]
+        acts, gm = hidden(p0, p1, bufs), gv[rows]
         if deep:
             scaled = acts[-1]
             scaled *= gm[:, :, None]
@@ -452,16 +486,16 @@ def expert_mixture(page: Tensor, slot: Tensor, gamma: Tensor, weights: list[Tens
             np.einsum("ne,nek->nk", gm, acts[0], out=out[rows])
 
     def vjp(g):
-        d_page = np.empty_like(page.values)
-        d_slot = np.empty_like(slot.values)
-        d_gamma = np.empty_like(gamma.values)
-        d_ws = [np.zeros_like(w.values) for w in weights]
-        d_bs = [np.zeros_like(b.values) for b in biases]
+        d_page = np.empty_like(pv)
+        d_slot = np.empty_like(sv)
+        d_gamma = np.empty_like(gv)
+        d_ws = [np.zeros_like(w) for w in ws]
+        d_bs = [np.zeros_like(b) for b in bs]
         bufs = buffers(hidden_layers)
         d_buf = buffers(hidden_layers[-1:])[0] if deep else None
         for p0, p1 in blocks:
             rows = slice(p0 * per_page, p1 * per_page)
-            acts, gm, gb = hidden(p0, p1, bufs), gamma.values[rows], g[rows]
+            acts, gm, gb = hidden(p0, p1, bufs), gv[rows], g[rows]
             if deep:
                 h = acts[-1]
                 for e in range(n_experts):  # the last layer read the gate-scaled h
@@ -476,8 +510,8 @@ def expert_mixture(page: Tensor, slot: Tensor, gamma: Tensor, weights: list[Tens
             else:
                 d_gamma[rows] = np.einsum("nk,nek->ne", gb, acts[0])
                 d_act = gm[:, :, None] * gb[:, None, :]
-            for i in range(len(weights) - 2, 0, -1):
-                prev, w = acts[i - 1], weights[i].values
+            for i in range(len(ws) - 2, 0, -1):
+                prev, w = acts[i - 1], ws[i]
                 d_prev = np.empty_like(prev)
                 for e in range(n_experts):
                     d_ws[i][e] += prev[:, e].T @ d_act[:, e]
@@ -487,8 +521,7 @@ def expert_mixture(page: Tensor, slot: Tensor, gamma: Tensor, weights: list[Tens
                 d_act = d_prev
             d_first = d_act.reshape(len(gm), n_experts * h1)
             d_first_page = d_first.reshape(p1 - p0, per_page, -1).sum(axis=1)
-            d_w1 = np.concatenate([page.values[p0:p1].T @ d_first_page,
-                                   slot.values[rows].T @ d_first])
+            d_w1 = np.concatenate([pv[p0:p1].T @ d_first_page, sv[rows].T @ d_first])
             d_ws[0] += d_w1.reshape(-1, n_experts, h1).transpose(1, 0, 2)
             d_bs[0] += d_first_page.sum(axis=0).reshape(n_experts, h1)
             np.matmul(d_first, w1_slot.T, out=d_slot[rows])
@@ -511,16 +544,17 @@ def spatial_attention(q: Tensor, k: Tensor, val: Tensor, bias: Array,
     non-finite logits with a NumericError, as `softmax` does.
     """
     q, k, val = as_tensor(q), as_tensor(k), as_tensor(val)
+    qv, kv, vv = q.values, k.values, val.values
     if q.ndim != 4 or k.shape != q.shape or val.shape[:3] != q.shape[:3]:
         raise DimensionError(f"spatial_attention needs (b, B, nm, d) queries, keys and "
                              f"values, got {q.shape}, {k.shape} and {val.shape}")
     scale = 1.0 / math.sqrt(q.shape[-1])
-    bias = np.asarray(bias, dtype=q.values.dtype)
-    logits = q.values @ k.values.swapaxes(-1, -2)                  # (b, B, nm, nm)
+    bias = np.asarray(bias, dtype=qv.dtype)
+    logits = qv @ kv.swapaxes(-1, -2)                              # (b, B, nm, nm)
     if factor is None:
-        rect = scaled_factor = None
+        rect = scaled_factor = factor_shape = None
         logits *= scale
-        parents = (q, k, val)
+        inputs = (q, k, val)
     else:
         factor = as_tensor(factor)
         rect = np.abs(logits)             # softplus, overflow-safe: exp sees only -|x|
@@ -528,9 +562,9 @@ def spatial_attention(q: Tensor, k: Tensor, val: Tensor, bias: Array,
         np.exp(rect, out=rect)
         np.log1p(rect, out=rect)
         rect += np.maximum(logits, 0.0)
-        scaled_factor = factor.values * scale
+        scaled_factor, factor_shape = factor.values * scale, factor.shape
         np.multiply(rect, scaled_factor, out=logits)
-        parents = (q, k, val, factor)
+        inputs = (q, k, val, factor)
     logits += bias
     if not np.all(np.isfinite(logits)):
         raise NumericError("softmax requires finite input")
@@ -538,11 +572,11 @@ def spatial_attention(q: Tensor, k: Tensor, val: Tensor, bias: Array,
     attn -= attn.max(axis=-1, keepdims=True)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=-1, keepdims=True)
-    out = attn @ val.values
+    out = attn @ vv
 
     def vjp(g):
         d_val = attn.swapaxes(-1, -2) @ g
-        d_logits = g @ val.values.swapaxes(-1, -2)
+        d_logits = g @ vv.swapaxes(-1, -2)
         d_logits -= (d_logits * attn).sum(axis=-1, keepdims=True)
         d_logits *= attn
         if rect is None:
@@ -550,7 +584,7 @@ def spatial_attention(q: Tensor, k: Tensor, val: Tensor, bias: Array,
             d_raw *= scale
             grads = ()
         else:
-            d_factor = _unbroadcast(d_logits * rect, factor.shape) * scale
+            d_factor = _unbroadcast(d_logits * rect, factor_shape) * scale
             d_raw = d_logits
             d_raw *= scaled_factor
             slope = np.negative(rect)  # softplus' derivative sigmoid(x) = 1 - exp(-softplus(x))
@@ -558,9 +592,9 @@ def spatial_attention(q: Tensor, k: Tensor, val: Tensor, bias: Array,
             np.negative(slope, out=slope)
             d_raw *= slope
             grads = (d_factor,)
-        return (d_raw @ k.values, d_raw.swapaxes(-1, -2) @ q.values, d_val, *grads)
+        return (d_raw @ kv, d_raw.swapaxes(-1, -2) @ qv, d_val, *grads)
 
-    return _make(out, parents, vjp)
+    return _make(out, inputs, vjp)
 
 
 def transpose(x: Tensor, *axes) -> Tensor:
@@ -598,9 +632,10 @@ def broadcast_to(x: Tensor, shape) -> Tensor:
         out = np.broadcast_to(x.values, shape)
     except ValueError:
         raise DimensionError(f"cannot broadcast {x.shape} to {shape}") from None
+    x_shape = x.shape
 
     def vjp(g):
-        return (_unbroadcast(g, x.shape),)
+        return (_unbroadcast(g, x_shape),)
 
     return _make(out, (x,), vjp)
 
@@ -620,9 +655,10 @@ def concat(tensors, axis: int = -1) -> Tensor:
 def slice_axis(x: Tensor, start: int, stop: int, axis: int) -> Tensor:
     """Entries start:stop of `axis`; backward places g in zeros of x's shape."""
     key = (slice(None),) * (axis % x.ndim) + (slice(start, stop),)
+    x_shape, dtype = x.shape, x.values.dtype
 
     def vjp(g):
-        grad = np.zeros_like(x.values)
+        grad = np.zeros(x_shape, dtype)
         grad[key] = g
         return (grad,)
 
@@ -641,13 +677,14 @@ def gather(table: Tensor, ids: Array) -> Tensor:
         raise ContractError(f"gather ids out of range for a padded table of {rows} rows")
     out = table.values[ids - 1]
     out[ids == 0] = 0.0
+    row_shape = table.shape[1:]
 
     def vjp(g):
         # np.bincount adds each cell's terms in order from 0.0, as np.add.at does
-        width = math.prod(table.shape[1:])
+        width = math.prod(row_shape)
         cells = ids.astype(np.intp)[..., None] * width + np.arange(width)
         gt = np.bincount(cells.reshape(-1), weights=g.reshape(-1), minlength=rows * width)
-        return (gt.astype(g.dtype, copy=False).reshape((rows,) + table.shape[1:])[1:],)
+        return (gt.astype(g.dtype, copy=False).reshape((rows,) + row_shape)[1:],)
 
     return _make(out, (table,), vjp)
 
@@ -670,47 +707,48 @@ def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Populate `.grad` on every leaf that a scalar loss depends on.
 
-    A leaf is a tensor with no vjp: a parameter, or an input built with
-    `requires_grad`. Interior tensors get no `.grad`; each interior gradient
-    lives only until its node's vjp has consumed it. Repeated calls
-    accumulate into the leaves' grads; callers zero them (set to None)
-    between optimization steps.
+    A leaf is a tensor that requires grad and that no op made: a parameter,
+    or an input built with `requires_grad`. Interior tensors get no `.grad`;
+    each interior gradient lives only until its node's vjp has consumed it.
+    The graph outlives the call, so repeated calls accumulate into the
+    leaves' grads; callers zero them (set to None) between optimization steps.
     """
     if loss.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
 
-    topo: list[Tensor] = []
+    root = loss if loss._node is None else loss._node
+    topo: list[Node | Tensor] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[Node | Tensor, bool]] = [(root, False)]
     while stack:
-        node, processed = stack.pop()
+        vertex, processed = stack.pop()
         if processed:
-            topo.append(node)
+            topo.append(vertex)
             continue
-        if id(node) in visited:
+        if id(vertex) in visited:
             continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
-                stack.append((p, False))
+        visited.add(id(vertex))
+        stack.append((vertex, True))
+        if isinstance(vertex, Node):
+            for src in vertex.inputs:
+                if src is not None and id(src) not in visited:
+                    stack.append((src, False))
 
-    local: dict[int, Array] = {id(loss): np.ones_like(loss.values)}
+    local: dict[int, Array] = {id(root): np.ones_like(loss.values)}
 
-    for node in reversed(topo):
-        g_in = local.pop(id(node), None)
+    for vertex in reversed(topo):
+        g_in = local.pop(id(vertex), None)
         if g_in is None:
             continue
-        if node._vjp is None:
-            node.grad = g_in if node.grad is None else node.grad + g_in
+        if isinstance(vertex, Tensor):
+            vertex.grad = g_in if vertex.grad is None else vertex.grad + g_in
             continue
-        grads = node._vjp(g_in)
-        for parent, g in zip(node._parents, grads):
-            if g is None or not parent.requires_grad:
+        for src, g in zip(vertex.inputs, vertex.vjp(g_in)):
+            if g is None or src is None:
                 continue
             g = np.asarray(g)
-            prev = local.get(id(parent))
-            local[id(parent)] = g if prev is None else prev + g
+            prev = local.get(id(src))
+            local[id(src)] = g if prev is None else prev + g
 
 
 # -- Adam --------------------------------------------------------------------

@@ -185,7 +185,10 @@ class UserProfile:
 
 
 TOP_K = 5  # a user's history items come from their top-5 items of a theme
-APPEAL_CHUNK = 512  # pages per embedding gather in generate_pages
+# pages per block of generate_pages' appeal gathers and of initial_rank's ranker
+# GEMMs: float64 GEMMs of 25,000 rows stalled in phases on 2 OpenBLAS threads
+# (16 ms against 1 ms), blocks of 10,000 rows or fewer never did
+APPEAL_CHUNK = 512
 # initial rankers: hidden width, Adam learning rate, batch and epochs, std of the target noise
 RANKER_HIDDEN, RANKER_LR, RANKER_BATCH, RANKER_EPOCHS, LABEL_NOISE = 32, 0.01, 256, 1, 0.1
 
@@ -327,12 +330,16 @@ def initial_rank(rankers: list[Mlp], features: list[np.ndarray], m: int) -> np.n
 
     Display slot k of list i shows generated slot `orders[p, i, k]`, and a
     padding slot keeps its own index. Each ranker scores its list position
-    on all pages, from that list's `_ranker_features`, in one batch.
+    on all pages, from that list's `_ranker_features`, `APPEAL_CHUNK` pages
+    at a time.
     """
     orders = np.tile(np.arange(m), (len(features[0]), len(features), 1))
     for i, (net, list_features) in enumerate(zip(rankers, features)):
+        scores = np.empty(list_features.shape[:2])
         with ag.no_grad():
-            scores = mlp(Tensor(list_features), net).values[..., 0]
+            for start in range(0, len(list_features), APPEAL_CHUNK):
+                chunk = slice(start, start + APPEAL_CHUNK)
+                scores[chunk] = mlp(Tensor(list_features[chunk]), net).values[..., 0]
         orders[:, i, :scores.shape[1]] = np.argsort(-scores, axis=1, kind="stable")
     return orders
 

@@ -3,6 +3,7 @@ central finite differences."""
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -324,7 +325,7 @@ class TestExpertMixture:
         monkeypatch.setattr(ag, "EXPERT_BLOCK", 7)
         blocked = ag.expert_mixture(*inputs)
         np.testing.assert_allclose(blocked.values, whole.values, rtol=1e-12, atol=0)
-        for a, b in zip(blocked._vjp(g), whole._vjp(g)):
+        for a, b in zip(blocked._node.vjp(g), whole._node.vjp(g)):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
 
     def test_leaves_its_inputs_unchanged(self, monkeypatch):
@@ -336,7 +337,7 @@ class TestExpertMixture:
         arrays = [g, page.values, slot.values, gamma.values] + [
             t.values for t in weights + biases]
         before = [a.copy() for a in arrays]
-        ag.expert_mixture(page, slot, gamma, weights, biases)._vjp(g)
+        ag.expert_mixture(page, slot, gamma, weights, biases)._node.vjp(g)
         for a, b in zip(arrays, before):
             np.testing.assert_array_equal(a, b)
 
@@ -367,7 +368,7 @@ class TestExpertMixture:
         g = np.random.default_rng(81).standard_normal(out.shape)
         tracemalloc.start()
         try:
-            out._vjp(g)
+            out._node.vjp(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -380,7 +381,7 @@ class TestExpertMixture:
         with ag.no_grad():
             out = ag.expert_mixture(page, slot, gamma, weights, biases)
         assert not out.requires_grad
-        assert out._parents == () and out._vjp is None
+        assert out._node is None
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(77)
@@ -440,20 +441,20 @@ class TestSpatialAttention:
         np.testing.assert_allclose(out.values, ref.values, rtol=0, atol=1e-12)
         g = np.random.default_rng(85).standard_normal(out.shape)
         (ref * g).sum().backward()
-        expected = [t.grad for t in out._parents]
-        for got, want in zip(out._vjp(g), expected):
+        expected = [t.grad for t in out._node.inputs]
+        for got, want in zip(out._node.vjp(g), expected):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         # the masked key takes no attention, so its value row takes no gradient
-        np.testing.assert_array_equal(out._vjp(g)[2][1, :, 3], 0.0)
+        np.testing.assert_array_equal(out._node.vjp(g)[2][1, :, 3], 0.0)
 
     def test_graph_keeps_at_most_two_score_arrays(self):
         q, k, val, factor, bias = attention_inputs(np.random.default_rng(86))
         square = q.shape[:3] + (q.shape[2],)
         for factor_in, most in [(factor, 2), (None, 1)]:
             out = ag.spatial_attention(q, k, val, bias, factor_in)
-            held = [cell.cell_contents for cell in out._vjp.__closure__]
-            arrays = [x.values if isinstance(x, Tensor) else x for x in held]
-            kept = [a for a in arrays if isinstance(a, np.ndarray) and a.shape == square]
+            held = [cell.cell_contents for cell in out._node.vjp.__closure__]
+            assert not any(isinstance(x, Tensor) for x in held)
+            kept = [a for a in held if isinstance(a, np.ndarray) and a.shape == square]
             assert len(kept) <= most
 
     def test_leaves_its_inputs_unchanged(self):
@@ -461,8 +462,8 @@ class TestSpatialAttention:
         g = np.random.default_rng(88).standard_normal(q.shape)
         arrays = [g, bias, q.values, k.values, val.values, factor.values]
         before = [a.copy() for a in arrays]
-        ag.spatial_attention(q, k, val, bias, factor)._vjp(g)
-        ag.spatial_attention(q, k, val, bias)._vjp(g)
+        ag.spatial_attention(q, k, val, bias, factor)._node.vjp(g)
+        ag.spatial_attention(q, k, val, bias)._node.vjp(g)
         for a, b in zip(arrays, before):
             np.testing.assert_array_equal(a, b)
 
@@ -508,6 +509,27 @@ class TestGraph:
         assert h.grad is None and a.grad is None and loss.grad is None
         assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
+    def test_forward_frees_the_arrays_no_vjp_reads(self):
+        """In relu(x @ w + b).sum(), x @ w and the sum are freed while the loss lives."""
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.standard_normal((6, 4)))
+        w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(3), requires_grad=True)
+        h = x @ w
+        s = h + b
+        r = ag.relu(s)
+        loss = r.sum()
+        product, total, rectified, read = (weakref.ref(t.values) for t in (h, s, r, x))
+        want = x.values.T @ (s.values > 0.0)
+        del x, h, s, r
+        assert product() is None and total() is None
+        assert rectified() is not None  # relu's vjp reads its output
+        assert read() is not None       # matmul's vjp reads x for w's gradient
+        loss.backward()
+        np.testing.assert_array_equal(w.grad, want)
+        del loss
+        assert rectified() is None and read() is None
+
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ContractError):
@@ -550,7 +572,7 @@ class TestGraph:
         g = rng.standard_normal(ids.shape + (5,))
         expected = np.zeros((10, 5))
         np.add.at(expected, ids, g)
-        (grad,) = ag.gather(table, ids)._vjp(g)
+        (grad,) = ag.gather(table, ids)._node.vjp(g)
         assert grad.dtype == g.dtype
         np.testing.assert_array_equal(grad, expected[1:])
 
@@ -789,9 +811,7 @@ class TestFiniteDiffCheck:
 
         # now a deliberately broken op
         def broken(x):
-            out = ag.Tensor(x.values * x.values, requires_grad=True,
-                            _parents=(x,), _vjp=lambda g: (g,))  # missing 2x
-            return out
+            return ag._make(x.values * x.values, (x,), lambda g: (g,))  # missing 2x
 
         report = finite_diff_check(lambda: broken(w).sum(), {"w": w})
         assert not report.passed

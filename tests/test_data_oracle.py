@@ -351,6 +351,27 @@ class TestInitialRanking:
                                       np.argsort(-scores(feats), axis=1, kind="stable"))
         assert orders[:, 0, 7:].tolist() == [[7, 8]] * 3  # padding keeps its own index
 
+    def test_page_blocks_give_the_one_call_orders(self, monkeypatch):
+        """30 pages scored 7 at a time get the orders of one call over all of them."""
+        config, cat, users = TestDrawsInOrder.world("fshape", 8)
+        lay = config.build_layout()
+        _, items, _ = generate_pages(cat, users, lay, config.pos_per_list, 8)
+        features = data_oracle._ranker_features(np.stack([u.latent for u in users]), items,
+                                                lay, cat)
+        rankers = data_oracle.train_initial_rankers(features, config, 8)
+        assert len(users) <= data_oracle.APPEAL_CHUNK  # one block
+        whole = initial_rank(rankers, features, lay.m)
+        pages = []
+
+        def spy(x, net):
+            pages.append(len(x.values))
+            return mlp(x, net)
+
+        monkeypatch.setattr(data_oracle, "APPEAL_CHUNK", 7)
+        monkeypatch.setattr(data_oracle, "mlp", spy)
+        np.testing.assert_array_equal(initial_rank(rankers, features, lay.m), whole)
+        assert pages == [7, 7, 7, 7, 2] * lay.n
+
     def test_initial_ranking_beats_random_on_relevance(self, monkeypatch):
         monkeypatch.setattr(data_oracle, "RANKER_EPOCHS", 4)
         config = small_config(train_pages=80, test_pages=20)

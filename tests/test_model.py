@@ -219,7 +219,7 @@ class TestDtypes:
         config = with_variant(tiny_config(), variant)
         model = ParModel(config, config.build_layout(), 2)
         loss, _ = model.loss(tiny_batch(config))
-        interior = [t for t in created if t._vjp is not None]
+        interior = [t for t in created if t._node is not None]
         seen = {id(t): [] for t in interior}  # what each vjp received and returned
 
         def recording(vjp, arrays):
@@ -230,7 +230,7 @@ class TestDtypes:
             return wrapped
 
         for t in interior:
-            t._vjp = recording(t._vjp, seen[id(t)])
+            t._node.vjp = recording(t._node.vjp, seen[id(t)])
         ag.backward(loss)
         params = list(model.params.values())
         adam_step(params, [p.grad for p in params], AdamState())
@@ -266,6 +266,35 @@ class TestDtypes:
                                    rtol=0, atol=1e-6)
 
 
+def captured(fn) -> list:
+    """Every object a function's closure holds, through nested functions, lists and tuples."""
+    held, todo = [], [fn]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (list, tuple)):
+            todo.extend(x)
+            continue
+        held.append(x)
+        if callable(x) and getattr(x, "__closure__", None):
+            todo.extend(cell.cell_contents for cell in x.__closure__)
+    return held
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_graph_nodes_hold_no_tensor(variant, created):
+    """Each vjp captures arrays and shapes, never a tensor, so no node keeps one alive."""
+    config = with_variant(tiny_config(), variant)
+    model = ParModel(config, config.build_layout(), 2)
+    created.clear()
+    loss, _ = model.loss(tiny_batch(config))
+    nodes = [t._node for t in created if t._node is not None]
+    assert nodes and loss._node in nodes
+    for node in nodes:
+        assert not any(isinstance(x, Tensor) for x in captured(node.vjp))
+        for edge in node.inputs:
+            assert edge is None or isinstance(edge, ag.Node) or edge._node is None
+
+
 def desk_step_peak(variant: str) -> int:
     """tracemalloc peak, in bytes, of one float64 desk training step on 128 random pages.
 
@@ -293,6 +322,12 @@ def test_one_expert_head_step_peaks_below_the_mixture():
     """PAR-MMoE's head keeps no activation, so its step peaks below PAR's four experts'."""
     head, mixture = desk_step_peak("PAR-MMoE"), desk_step_peak("PAR")
     assert head < mixture, f"PAR-MMoE +{head / 1e6:.1f} MB, PAR +{mixture / 1e6:.1f} MB"
+
+
+def test_desk_step_keeps_only_what_its_vjps_read():
+    """A graph node keeps only the arrays its vjp reads, so a desk PAR step peaks at 60 MB."""
+    peak = desk_step_peak("PAR")
+    assert peak <= 60e6, f"PAR +{peak / 1e6:.1f} MB"
 
 
 class TestEndToEndGradients:
