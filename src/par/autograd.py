@@ -353,22 +353,33 @@ def _matmul_forward(av: Array, bv: Array) -> Array:
     return av @ bv
 
 
-def _matmul_grad_b(av: Array, g: Array, b_shape: tuple[int, ...]) -> Array:
+def _matmul_grads(av: Array, bv: Array, g: Array) -> tuple[Array, Array]:
     # dB = sum over broadcast batch of A^T @ g, summed inside the GEMMs: a
     # plain `_unbroadcast(A^T @ g)` builds the whole batch of products (the
     # towers' (b, n, 80, 80)) and raised bench/run.py's peak RSS from 266 to
-    # 283 MB on train and 247 to 263 MB on eval (one pair each, same machine)
-    if len(b_shape) == 2:
-        return av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-    if av.ndim == 4 and len(b_shape) == 3 and g.shape[:2] == (av.shape[0], b_shape[0]):
-        b0, p, q = av.shape[0], av.shape[-2], av.shape[-1]
-        gt = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(b_shape[0], b0 * p, -1)
-        if av.shape[1] == b_shape[0]:
-            at = np.ascontiguousarray(av.transpose(1, 3, 0, 2)).reshape(b_shape[0], q, b0 * p)
-            return at @ gt
-        if av.shape[1] == 1:
-            return av.reshape(b0 * p, q).T[None] @ gt
-    return _unbroadcast(av.swapaxes(-1, -2) @ g, b_shape)
+    # 283 MB on train and 247 to 263 MB on eval (one pair each, same machine).
+    # For per-list weights, dA is n GEMMs on the list-major copy of g that dB
+    # reads, not b * n small broadcast GEMMs: the backward of the towers'
+    # (128, 4, 10, 80) @ (4, 80, 80) went from 6.7 to 6.0 ms, of
+    # (128, 1, 10, 80) @ (4, 80, 80) from 3.4 to 2.4 ms (2-vCPU Xeon,
+    # OpenBLAS). dB keeps its gathered copy of A: a GEMM on A's list-major
+    # view, transposed, rounds differently and moves tests/test_golden.py's
+    # trained checkpoint.
+    if bv.ndim == 2:
+        q, r = bv.shape
+        return ((g.reshape(-1, r) @ bv.T).reshape(av.shape),
+                av.reshape(-1, q).T @ g.reshape(-1, r))
+    if (av.ndim == 4 and bv.ndim == 3 and av.shape[1] in (1, bv.shape[0])
+            and g.shape[:2] == (av.shape[0], bv.shape[0])):
+        n, (b0, lists, p, q) = bv.shape[0], av.shape
+        gt = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(n, b0 * p, -1)
+        da = gt @ bv.swapaxes(-1, -2)  # (n, b0 * p, q)
+        if lists == n:
+            at = np.ascontiguousarray(av.transpose(1, 3, 0, 2)).reshape(n, q, b0 * p)
+            return da.reshape(n, b0, p, q).transpose(1, 0, 2, 3), at @ gt
+        return da.sum(axis=0).reshape(av.shape), av.reshape(b0 * p, q).T[None] @ gt
+    return (_unbroadcast(g @ bv.swapaxes(-1, -2), av.shape),
+            _unbroadcast(av.swapaxes(-1, -2) @ g, bv.shape))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -385,11 +396,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul batch dims disagree: {a.shape} @ {b.shape}") from None
 
     def vjp(g):
-        if bv.ndim == 2 and av.ndim > 2:
-            da = (g.reshape(-1, g.shape[-1]) @ bv.T).reshape(av.shape)
-        else:
-            da = _unbroadcast(g @ bv.swapaxes(-1, -2), av.shape)
-        return da, _matmul_grad_b(av, g, bv.shape)
+        return _matmul_grads(av, bv, g)
 
     return _make(out, (a, b), vjp)
 

@@ -89,9 +89,9 @@ def cmd_rerank(args) -> int:
     lengths = checkpoint.config.build_layout().lengths
 
     lines = []
-    for page, page_perms in zip(pages, perms.tolist()):
+    for user, page_perms in zip(pages.user.tolist(), perms.tolist()):
         lines.append(json.dumps({
-            "user": page.user_id,
+            "user": user,
             "permutations": [page_perms[i][:length] for i, length in enumerate(lengths)],
         }, sort_keys=True))
     atomic_write(args.out, "\n".join(lines) + "\n")

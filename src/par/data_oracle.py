@@ -20,8 +20,9 @@ import contextlib
 import gc
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -186,8 +187,11 @@ class UserProfile:
 
 TOP_K = 5  # a user's history items come from their top-5 items of a theme
 # pages per block of generate_pages' appeal gathers and of initial_rank's ranker
-# GEMMs: float64 GEMMs of 25,000 rows stalled in phases on 2 OpenBLAS threads
-# (16 ms against 1 ms), blocks of 10,000 rows or fewer never did
+# GEMMs, which bounds their temporaries. It does not avoid BLAS stalls: on 2
+# OpenBLAS threads float64 GEMMs stall in phases, and a stall is paid per call,
+# whatever its rows. In such phases one (1024, 32) @ (32, 32) call took 8.0 ms,
+# and initial_rank took 155-172 ms in 512-page blocks and 91-116 ms at one call
+# per list, against 15-17 ms at one BLAS thread (13-16 ms in the bench).
 APPEAL_CHUNK = 512
 # initial rankers: hidden width, Adam learning rate, batch and epochs, std of the target noise
 RANKER_HIDDEN, RANKER_LR, RANKER_BATCH, RANKER_EPOCHS, LABEL_NOISE = 32, 0.01, 256, 1, 0.1
@@ -235,6 +239,145 @@ class PageRecord:
     user_id: int
     history: list[int]
     lists: list[ListRecord]
+
+
+LIST_FIELDS = ("items", "rel", "init_order", "clicks", "probs")  # a list's per-slot fields
+PAGE_BLOCK = 512  # pages per block of the JSONL reader and writer and of record making
+
+
+def fit_shape(array: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """`array` cut or zero-padded on each axis to `shape`."""
+    if array.shape == shape:
+        return array
+    out = np.zeros(shape, array.dtype)
+    common = tuple(slice(0, min(a, b)) for a, b in zip(array.shape, shape))
+    out[common] = array[common]
+    return out
+
+
+@dataclass(eq=False)
+class PageTable:
+    """A split's pages as columns: row k of every array is page k.
+
+    Page k has `list_count[k]` lists and `history_len[k]` history items, and
+    its list i holds `lengths[k, i, f]` values of `LIST_FIELDS[f]`. Every
+    entry past those counts is 0, so tables of the same pages are equal
+    arrays, whatever their widths. The table is a sequence of pages:
+    `table[k]` makes page k's `PageRecord`, a slice is a table of views, `+`
+    concatenates and `==` compares whole tables.
+    """
+
+    user: np.ndarray         # (P,) int
+    history: np.ndarray      # (P, H) int, most recent first
+    history_len: np.ndarray  # (P,) int
+    theme: np.ndarray        # (P, n) int
+    list_count: np.ndarray   # (P,) int
+    items: np.ndarray        # (P, n, m) int, generated (pre-ranking) order
+    rel: np.ndarray          # (P, n, m) int, aligned with `items`
+    init_order: np.ndarray   # (P, n, m) int: display slot k shows items[init_order[k]]
+    clicks: np.ndarray       # (P, n, m) int, per display slot
+    probs: np.ndarray        # (P, n, m) float, per display slot
+    lengths: np.ndarray      # (P, n, len(LIST_FIELDS)) int
+
+    def __len__(self) -> int:
+        return len(self.user)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return PageTable(*(getattr(self, f.name)[key] for f in fields(self)))
+        k = range(len(self))[key]
+        return next(iter(self[k:k + 1]))
+
+    def __iter__(self):
+        for user, history, lists in self._rows():
+            yield PageRecord(user, history, [ListRecord(*lst) for lst in lists])
+
+    def __add__(self, other):
+        if not isinstance(other, PageTable):
+            return NotImplemented
+        return _concat([self, other])
+
+    def __eq__(self, other):
+        if not isinstance(other, PageTable):
+            return NotImplemented
+        if len(self) != len(other):
+            return False
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            shape = tuple(map(max, a.shape, b.shape))
+            if not np.array_equal(fit_shape(a, shape), fit_shape(b, shape)):
+                return False
+        return True
+
+    @classmethod
+    def from_records(cls, records) -> "PageTable":
+        """The table of any sequence of `PageRecord`s."""
+        rows = [(r.user_id, r.history, [(l.theme, l.items, l.rel, l.init_order, l.clicks,
+                                         l.probs) for l in r.lists]) for r in records]
+        return _table_of_rows(rows, [f"page {k}" for k in range(len(rows))])
+
+    def _rows(self):
+        """(user, history, [(theme, items, rel, init_order, clicks, probs), ...]) of each
+        page as Python lists cut to their lengths, one `tolist()` per array and block."""
+        for lo in range(0, len(self), PAGE_BLOCK):
+            block = self[lo:lo + PAGE_BLOCK]
+            columns = (getattr(block, f.name).tolist() for f in fields(block))
+            for user, history, history_len, themes, count, *grids, lengths in zip(*columns):
+                yield user, history[:history_len], [
+                    (themes[i], items[:a], rel[:b], order[:c], clicks[:d], probs[:e])
+                    for i, items, rel, order, clicks, probs, (a, b, c, d, e)
+                    in zip(range(count), *grids, lengths)]
+
+    @classmethod
+    def _from_rows(cls, rows: list) -> "PageTable":
+        """The table of `_rows`-shaped tuples; a number outside 64 bits raises OverflowError."""
+        count = len(rows)
+        lists = [lst for _, _, page_lists in rows for lst in page_lists]
+        list_count = np.fromiter((len(row[2]) for row in rows), np.int64, count)
+        history_len = np.fromiter((len(row[1]) for row in rows), np.int64, count)
+        sizes = np.array([[len(values) for values in lst[1:]] for lst in lists],
+                         dtype=np.int64).reshape(len(lists), len(LIST_FIELDS))
+        n, m = int(list_count.max(initial=0)), int(sizes.max(initial=0))
+        listed = np.arange(n) < list_count[:, None]
+        lengths = np.zeros((count, n, len(LIST_FIELDS)), dtype=np.int64)
+        lengths[listed] = sizes
+        theme = np.zeros((count, n), dtype=np.int64)
+        theme[listed] = np.fromiter((lst[0] for lst in lists), np.int64, len(lists))
+        history = np.zeros((count, int(history_len.max(initial=0))), dtype=np.int64)
+        history[np.arange(history.shape[1]) < history_len[:, None]] = np.fromiter(
+            chain.from_iterable(row[1] for row in rows), np.int64)
+        grids = []
+        for f, name in enumerate(LIST_FIELDS):
+            dtype = np.float64 if name == "probs" else np.int64
+            grid = np.zeros((count, n, m), dtype=dtype)
+            grid[np.arange(m) < lengths[..., f, None]] = np.fromiter(
+                chain.from_iterable(lst[f + 1] for lst in lists), dtype)
+            grids.append(grid)
+        user = np.fromiter((row[0] for row in rows), np.int64, count)
+        return cls(user, history, history_len, theme, list_count, *grids, lengths)
+
+
+def _table_of_rows(rows: list, names: list[str]) -> PageTable:
+    """`PageTable._from_rows`; a number outside 64 bits raises DataError naming its row."""
+    try:
+        return PageTable._from_rows(rows)
+    except OverflowError:
+        for row, name in zip(rows, names):
+            try:
+                PageTable._from_rows([row])
+            except OverflowError:
+                raise DataError(f"{name}: a number outside the 64-bit range") from None
+        raise
+
+
+def _concat(tables: list[PageTable]) -> PageTable:
+    """One table of `tables`' pages in order, each array widened to the widest."""
+    columns = []
+    for f in fields(PageTable):
+        arrays = [getattr(table, f.name) for table in tables]
+        width = tuple(map(max, zip(*(a.shape[1:] for a in arrays))))
+        columns.append(np.concatenate([fit_shape(a, a.shape[:1] + width) for a in arrays]))
+    return PageTable(*columns)
 
 
 def generate_pages(catalog: Catalog, users: list[UserProfile], layout: PageLayout,
@@ -439,19 +582,14 @@ def label_pages(items: np.ndarray, rel: np.ndarray, mask: np.ndarray, oracle: Cl
     return probs, (uniforms < probs).astype(np.int64)
 
 
-def displayed_grid(pages: list[PageRecord], layout: PageLayout, field: str) -> np.ndarray:
+def displayed_grid(pages: PageTable, layout: PageLayout, field: str) -> np.ndarray:
     """(P, n, m) grid of a list's per-item `field` ("items" or "rel") in displayed
     order; padding slots hold 0."""
-    count = len(pages)
-    grid = np.zeros((count, layout.n, layout.m),
-                    dtype=np.int64 if field == "items" else np.float64)
-    for i, length in enumerate(layout.lengths):
-        order = np.array([page.lists[i].init_order for page in pages],
-                         dtype=np.int64).reshape(count, length)
-        generated = np.array([getattr(page.lists[i], field) for page in pages],
-                             dtype=grid.dtype).reshape(count, length)
-        grid[:, i, :length] = np.take_along_axis(generated, order, axis=1)
-    return grid
+    shape = (len(pages), layout.n, layout.m)
+    shown = np.take_along_axis(fit_shape(getattr(pages, field), shape),
+                               fit_shape(pages.init_order, shape), axis=-1)
+    return np.where(slot_mask(layout, 1) > 0, shown, 0).astype(
+        np.int64 if field == "items" else np.float64)
 
 
 def slot_mask(layout: PageLayout, count: int) -> np.ndarray:
@@ -463,23 +601,24 @@ def slot_mask(layout: PageLayout, count: int) -> np.ndarray:
 # -- serialization -------------------------------------------------------------
 
 
-def pages_to_jsonl(pages: list[PageRecord]) -> str:
-    """One JSON object per page, keys sorted.
+def pages_to_jsonl(pages: PageTable) -> str:
+    """One JSON object per page, keys sorted; the pages are read a block at a time.
 
     The keys are written in sorted order, so the encoder need not sort them.
     """
-    return "\n".join(json.dumps({
-        "history": page.history,
-        "lists": [{
-            "clicks": lst.clicks,
-            "init_order": lst.init_order,
-            "items": lst.items,
-            "probs": lst.probs,
-            "rel": lst.rel,
-            "theme": lst.theme,
-        } for lst in page.lists],
-        "user": page.user_id,
-    }) for page in pages) + "\n"
+    with _no_cyclic_gc():
+        return "\n".join(json.dumps({
+            "history": history,
+            "lists": [{
+                "clicks": clicks,
+                "init_order": init_order,
+                "items": items,
+                "probs": probs,
+                "rel": rel,
+                "theme": theme,
+            } for theme, items, rel, init_order, clicks, probs in lists],
+            "user": user,
+        }) for user, history, lists in pages._rows()) + "\n"
 
 
 def _int(value) -> int:
@@ -501,13 +640,25 @@ def _reason(exc: Exception) -> str:
     return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
+_NUMBERS = frozenset({int, float})
+
+
+def _parse_page(line: str) -> tuple:
+    """One JSONL page as a `PageTable._rows` tuple, its fields type-checked."""
+    data = json.loads(line)
+    return _int(data["user"]), _list(data["history"]), [
+        (_int(l["theme"]), _list(l["items"]), _list(l["rel"]), _list(l["init_order"]),
+         _list(l["clicks"]), _list(l["probs"], _NUMBERS))
+        for l in _list(data["lists"], frozenset({dict}))]
+
+
 @contextlib.contextmanager
 def _no_cyclic_gc():
     """Pause the cyclic garbage collector, then restore its previous state.
 
-    For building many records, which hold no reference cycles: with the
-    collector on, every 700 new containers start a collection, and the full
-    ones walk every record already alive.
+    For making many short-lived lists, which hold no reference cycles: with
+    the collector on, every 700 new containers start a collection, and the
+    full ones walk every container already alive.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -518,30 +669,24 @@ def _no_cyclic_gc():
             gc.enable()
 
 
-def pages_from_jsonl(text: str) -> list[PageRecord]:
-    """Parse page lines; a malformed line raises DataError naming it."""
-    pages = []
+def pages_from_jsonl(text: str) -> PageTable:
+    """Parse page lines, `PAGE_BLOCK` at a time; a malformed line raises DataError naming it."""
+    lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
+             if line.strip()]
+    blocks = []
     with _no_cyclic_gc():
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-                pages.append(PageRecord(
-                    user_id=_int(data["user"]),
-                    history=_list(data["history"]),
-                    lists=[ListRecord(theme=_int(l["theme"]), items=_list(l["items"]),
-                                      rel=_list(l["rel"]), init_order=_list(l["init_order"]),
-                                      clicks=_list(l["clicks"]),
-                                      probs=_list(l["probs"], frozenset({int, float})))
-                           for l in _list(data["lists"], frozenset({dict}))],
-                ))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise DataError(f"page line {lineno}: {_reason(exc)}") from None
-    return pages
+        for start in range(0, len(lines), PAGE_BLOCK):
+            block, rows = lines[start:start + PAGE_BLOCK], []
+            for lineno, line in block:
+                try:
+                    rows.append(_parse_page(line))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise DataError(f"page line {lineno}: {_reason(exc)}") from None
+            blocks.append(_table_of_rows(rows, [f"page line {lineno}" for lineno, _ in block]))
+    return _concat(blocks) if blocks else PageTable._from_rows([])
 
 
-def write_pages(pages: list[PageRecord], path: str | Path) -> None:
+def write_pages(pages: PageTable, path: str | Path) -> None:
     atomic_write(path, pages_to_jsonl(pages))
 
 
@@ -553,7 +698,7 @@ def _load(path: str | Path, parse):
         raise DataError(f"{path}: {exc}") from None
 
 
-def load_pages(path: str | Path) -> list[PageRecord]:
+def load_pages(path: str | Path) -> PageTable:
     return _load(path, pages_from_jsonl)
 
 
@@ -568,11 +713,11 @@ def load_catalog(path: str | Path) -> Catalog:
 # -- dataset assembly ----------------------------------------------------------
 
 
-def build_dataset(config: TrainConfig) -> tuple[Catalog, list[PageRecord], list[PageRecord]]:
+def build_dataset(config: TrainConfig) -> tuple[Catalog, PageTable, PageTable]:
     """Generate catalog, train/test pages, initial rankings, and click labels.
 
-    Every stage works on (P, n, m) grids of all pages; the records are made
-    once, at the end.
+    Every stage works on (P, n, m) grids of all pages, and the two splits are
+    slices of one table of them.
     """
     layout = config.build_layout()
     seed, cut = config.seed, config.train_pages
@@ -592,20 +737,13 @@ def build_dataset(config: TrainConfig) -> tuple[Catalog, list[PageRecord], list[
     train = label_pages(shown_items[:cut], shown_rel[:cut], mask[:cut], oracle, seed)
     test = label_pages(shown_items[cut:], shown_rel[cut:], mask[cut:], oracle, seed + 1)
     probs, clicks = (np.concatenate(pair) for pair in zip(train, test))
-    pages = _page_records(users, layout, themes, items, rel, orders, clicks, probs)
+    count, history = len(users), np.stack([user.history for user in users])
+    pages = PageTable(
+        np.array([user.user_id for user in users]), history, np.full(count, history.shape[1]),
+        themes, np.full(count, layout.n),
+        *(np.where(mask > 0, grid, 0) for grid in (items, rel, orders, clicks, probs)),
+        np.tile(np.array(layout.lengths)[:, None], (count, 1, len(LIST_FIELDS))))
     return catalog, pages[:cut], pages[cut:]
-
-
-def _page_records(users: list[UserProfile], layout: PageLayout, themes: np.ndarray,
-                  items: np.ndarray, rel: np.ndarray, orders: np.ndarray,
-                  clicks: np.ndarray, probs: np.ndarray) -> list[PageRecord]:
-    """Each user's page as a record, every list cut to its length; one `tolist()` per grid."""
-    with _no_cyclic_gc():
-        theme_rows = themes.tolist()
-        grids = [grid.tolist() for grid in (items, rel, orders, clicks, probs)]
-        return [PageRecord(user.user_id, user.history.tolist(), [
-            ListRecord(theme_rows[p][i], *(rows[p][i][:length] for rows in grids))
-            for i, length in enumerate(layout.lengths)]) for p, user in enumerate(users)]
 
 
 def examination_start(clicks: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -625,21 +763,17 @@ def examination_start(clicks: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.where(shown > 0, np.log(r / (1.0 - r)), 0.0)
 
 
-def pages_to_batch(pages: list[PageRecord], catalog: Catalog, layout: PageLayout,
+def pages_to_batch(pages: PageTable, catalog: Catalog, layout: PageLayout,
                    t: int) -> PageBatch:
-    """Assemble displayed pages into padded model inputs, with the split's examination start."""
+    """Assemble displayed pages into padded model inputs, with the split's examination start.
+
+    Each page's history is cut to its first `t` items.
+    """
     b = len(pages)
     items, mask = displayed_grid(pages, layout, "items"), slot_mask(layout, b)
-    clicks = np.zeros_like(mask)
-    for i, length in enumerate(layout.lengths):
-        clicks[:, i, :length] = np.array([page.lists[i].clicks for page in pages],
-                                         dtype=np.float64).reshape(b, length)
-    history = np.zeros((b, t), dtype=np.int64)
-    hmask = np.zeros((b, t), dtype=np.float64)
-    for k, page in enumerate(pages):
-        hist = page.history[:t]
-        history[k, :len(hist)] = hist
-        hmask[k, :len(hist)] = 1.0
+    clicks = fit_shape(pages.clicks, mask.shape).astype(np.float64)
+    history = fit_shape(pages.history, (b, t))
+    hmask = (np.arange(t) < pages.history_len[:, None]).astype(np.float64)
     categories = catalog.item_theme[items]
     hist_categories = catalog.item_theme[history]
     return PageBatch(items, categories, history, hist_categories, clicks, mask, hmask,

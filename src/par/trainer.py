@@ -18,11 +18,12 @@ import numpy as np
 from . import autograd as ag
 from .autograd import AdamState, GradCheckReport, finite_diff_check
 from .config import TrainConfig, config_from_dict
-from .data_oracle import (Catalog, ClickOracle, PageRecord, atomic_write, displayed_grid,
-                          pages_to_batch)
+from .data_oracle import (LIST_FIELDS, Catalog, ClickOracle, PageRecord, PageTable, atomic_write,
+                          displayed_grid, fit_shape, pages_to_batch)
 from .data_oracle import stream as _rng
 from .embedding import PageBatch
 from .errors import ConfigError, ContractError, DataError
+from .layout import PageLayout
 from .metrics import MetricReport, compute_report
 from .model import ParModel
 from .scoring import rerank
@@ -120,39 +121,82 @@ def _snapshot(model: ParModel, config: TrainConfig, epoch: int,
 _BINARY = frozenset({0, 1})
 
 
-def validate_dataset(config: TrainConfig, pages: list[PageRecord], catalog: Catalog) -> None:
-    """Check every page against the config's layout and the catalog."""
+def validate_dataset(config: TrainConfig, pages: PageTable, catalog: Catalog) -> None:
+    """Check every page against the config's layout and the catalog.
+
+    One pass over the table's arrays finds the pages that fail a check, and
+    `_check_page` names the first one's first failure.
+    """
     layout = config.build_layout()
     if catalog.vocab_size != config.vocab_size or catalog.themes != config.themes:
         raise ConfigError(f"catalog ({catalog.themes} themes x {catalog.items_per_theme}) "
                           f"does not match config ({config.themes} x {config.items_per_theme})")
     if not pages:
         raise ConfigError("empty page set")
-    vocab = catalog.vocab_size
-    for k, page in enumerate(pages):
-        if page.history and not 1 <= min(page.history) <= max(page.history) < vocab:
-            raise DataError(f"page {k} history holds item ids outside 1..{vocab - 1}")
-        if len(page.lists) != layout.n:
-            raise ConfigError(f"page {k} has {len(page.lists)} lists, config expects {layout.n}")
-        for i, lst in enumerate(page.lists):
-            length = len(lst.items)
-            if length != layout.lengths[i]:
-                raise ConfigError(f"page {k} list {i} has {length} items, layout expects "
-                                  f"{layout.lengths[i]}")
-            if not lst.clicks:
-                raise ConfigError(f"page {k} carries no click labels; run labeling first")
-            if (len(lst.rel) != length or len(lst.clicks) != length
-                    or sorted(lst.init_order) != list(range(length))):
-                raise DataError(f"page {k} list {i}: rel, clicks and init_order must cover "
-                                f"its {length} items")
-            if not (_BINARY.issuperset(lst.rel) and _BINARY.issuperset(lst.clicks)):
-                raise DataError(f"page {k} list {i}: rel and clicks must be 0 or 1, got "
-                                f"rel {lst.rel!r:.60}, clicks {lst.clicks!r:.60}")
-            if not 1 <= min(lst.items) <= max(lst.items) < vocab:
-                raise DataError(f"page {k} list {i} holds item ids outside 1..{vocab - 1}")
+    bad = _failing_pages(pages, layout, catalog.vocab_size)
+    if bad.any():
+        k = int(np.argmax(bad))
+        _check_page(k, pages[k], layout, catalog.vocab_size)
 
 
-def train(config: TrainConfig, pages: list[PageRecord], catalog: Catalog) -> Checkpoint:
+def _failing_pages(pages: PageTable, layout: PageLayout, vocab: int) -> np.ndarray:
+    """(P,) bool: the pages `_check_page` rejects.
+
+    A page whose lists have the layout's lengths and cover them with rel,
+    clicks and init_order holds all its values within the layout's (n, m)
+    slots, so the value checks read the table cut to that shape.
+    """
+    count, n, m = len(pages), layout.n, layout.m
+    slot = np.arange(m)
+
+    def within(size: np.ndarray) -> np.ndarray:
+        return slot < size[..., None]
+
+    outside = (pages.history < 1) | (pages.history >= vocab)
+    bad = np.any(outside & (np.arange(pages.history.shape[1]) < pages.history_len[:, None]),
+                 axis=1)
+    bad |= pages.list_count != n
+    sizes = fit_shape(pages.lengths, (count, n, len(LIST_FIELDS)))
+    items_len, rel_len, order_len, clicks_len = (
+        sizes[..., LIST_FIELDS.index(f)] for f in ("items", "rel", "init_order", "clicks"))
+    items, rel, order, clicks = (fit_shape(getattr(pages, f), (count, n, m))
+                                 for f in ("items", "rel", "init_order", "clicks"))
+    sorted_order = np.sort(np.where(within(order_len), order, m), axis=-1)
+    # no clicks fails `clicks_len != items_len`, as every layout list holds an item
+    failing = ((items_len != np.array(layout.lengths))
+               | (rel_len != items_len) | (clicks_len != items_len) | (order_len != items_len)
+               | np.any(within(items_len) & (sorted_order != slot), axis=-1)
+               | np.any(within(rel_len) & (rel != 0) & (rel != 1), axis=-1)
+               | np.any(within(clicks_len) & (clicks != 0) & (clicks != 1), axis=-1)
+               | np.any(within(items_len) & ((items < 1) | (items >= vocab)), axis=-1))
+    return bad | failing.any(axis=1)
+
+
+def _check_page(k: int, page: PageRecord, layout: PageLayout, vocab: int) -> None:
+    """Raise the error of page k's first failed check."""
+    if page.history and not 1 <= min(page.history) <= max(page.history) < vocab:
+        raise DataError(f"page {k} history holds item ids outside 1..{vocab - 1}")
+    if len(page.lists) != layout.n:
+        raise ConfigError(f"page {k} has {len(page.lists)} lists, config expects {layout.n}")
+    for i, lst in enumerate(page.lists):
+        length = len(lst.items)
+        if length != layout.lengths[i]:
+            raise ConfigError(f"page {k} list {i} has {length} items, layout expects "
+                              f"{layout.lengths[i]}")
+        if not lst.clicks:
+            raise ConfigError(f"page {k} carries no click labels; run labeling first")
+        if (len(lst.rel) != length or len(lst.clicks) != length
+                or sorted(lst.init_order) != list(range(length))):
+            raise DataError(f"page {k} list {i}: rel, clicks and init_order must cover "
+                            f"its {length} items")
+        if not (_BINARY.issuperset(lst.rel) and _BINARY.issuperset(lst.clicks)):
+            raise DataError(f"page {k} list {i}: rel and clicks must be 0 or 1, got "
+                            f"rel {lst.rel!r:.60}, clicks {lst.clicks!r:.60}")
+        if not 1 <= min(lst.items) <= max(lst.items) < vocab:
+            raise DataError(f"page {k} list {i} holds item ids outside 1..{vocab - 1}")
+
+
+def train(config: TrainConfig, pages: PageTable, catalog: Catalog) -> Checkpoint:
     """Fit the model on labeled pages; deterministic for a given seed."""
     validate_dataset(config, pages, catalog)
     layout = config.build_layout()
@@ -184,7 +228,7 @@ def _score_pages(model: ParModel, batch: PageBatch, chunk: int = 128) -> np.ndar
     return np.concatenate(scores, axis=0)
 
 
-def rank_pages(checkpoint: Checkpoint, pages: list[PageRecord], catalog: Catalog
+def rank_pages(checkpoint: Checkpoint, pages: PageTable, catalog: Catalog
                ) -> tuple[PageBatch, np.ndarray]:
     """Check `pages`, then the checkpoint model's `(P, n, m)` reranking of each list."""
     config = checkpoint.config
@@ -193,7 +237,7 @@ def rank_pages(checkpoint: Checkpoint, pages: list[PageRecord], catalog: Catalog
     return batch, rerank(_score_pages(checkpoint.build_model(), batch), batch.mask)
 
 
-def evaluate(checkpoint: Checkpoint, pages: list[PageRecord], catalog: Catalog,
+def evaluate(checkpoint: Checkpoint, pages: PageTable, catalog: Catalog,
              eval_seed: int = EVAL_SEED, relevance_source: str = "labels"
              ) -> dict[str, MetricReport]:
     """Score, rerank, re-query the oracle, and compute metrics.

@@ -1,7 +1,10 @@
 """Synthetic page construction and the oracle click model."""
 
+import dataclasses
 import gc
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +12,12 @@ import pytest
 from par import autograd as ag
 from par import data_oracle
 from par.autograd import Tensor
-from par.config import TrainConfig
-from par.data_oracle import (Catalog, ClickOracle, build_dataset, displayed_grid,
-                             generate_pages, initial_rank, label_pages, load_catalog,
-                             load_pages, make_user, pages_from_jsonl, pages_to_batch,
-                             pages_to_jsonl, slot_mask, write_catalog, write_pages)
+from par.config import TrainConfig, load_config
+from par.data_oracle import (PAGE_BLOCK, Catalog, ClickOracle, PageTable, build_dataset,
+                             displayed_grid, generate_pages, initial_rank, label_pages,
+                             load_catalog, load_pages, make_user, pages_from_jsonl,
+                             pages_to_batch, pages_to_jsonl, slot_mask, write_catalog,
+                             write_pages)
 from par.errors import DataError
 from par.layout import fshape_preset, manhattan_distance_matrix, stacked_preset
 from par.scoring import Mlp, mlp
@@ -555,7 +559,7 @@ class TestSerialization:
         was = gc.isenabled()
         try:
             gc.enable() if enabled else gc.disable()
-            _, train, _ = build_dataset(small_config())  # its records: `_page_records`
+            _, train, _ = build_dataset(small_config())
             assert gc.isenabled() is enabled
             text = pages_to_jsonl(train[:3])
             pages_from_jsonl(text)
@@ -567,14 +571,15 @@ class TestSerialization:
             gc.enable() if was else gc.disable()
 
     def test_record_builders_pause_the_collector(self, monkeypatch):
+        """The JSONL reader parses its lines with the collector paused."""
         seen = []
-        record = data_oracle.ListRecord
+        parse = data_oracle._parse_page
 
         def spy(*args, **kwargs):
             seen.append(gc.isenabled())
-            return record(*args, **kwargs)
+            return parse(*args, **kwargs)
 
-        monkeypatch.setattr(data_oracle, "ListRecord", spy)
+        monkeypatch.setattr(data_oracle, "_parse_page", spy)
         assert gc.isenabled()
         _, train, _ = build_dataset(small_config())
         pages_from_jsonl(pages_to_jsonl(train[:3]))
@@ -672,11 +677,13 @@ class TestSerialization:
     def test_split_without_clicks_starts_at_zero(self):
         config = small_config()
         catalog, train, _ = build_dataset(config)
+        train = list(train)
         for page in train:
             for lst in page.lists:
                 lst.clicks = [0] * len(lst.clicks)
         with np.errstate(all="raise"):
-            batch = pages_to_batch(train, catalog, config.build_layout(), config.t)
+            batch = pages_to_batch(PageTable.from_records(train), catalog,
+                                   config.build_layout(), config.t)
         np.testing.assert_array_equal(batch.exam_start, np.zeros((config.n, config.m)))
 
     def test_displayed_grids_follow_display_order(self, monkeypatch):
@@ -723,3 +730,96 @@ class TestSerialization:
         data["theme_mix"] = 0.0
         loaded = Catalog.from_json(json.dumps(data, sort_keys=True))
         assert loaded.to_json() == catalog.to_json()
+
+
+DESK = load_config(Path(__file__).resolve().parents[1] / "configs" / "desk.cfg")
+# the desk world on an F-shape page: lists of 10, 6, 6 and 6 items
+DESK_FSHAPE = dataclasses.replace(DESK, layout="fshape", v_len=10, h_count=3, h_len=6)
+
+
+@pytest.fixture(scope="module")
+def block_text():
+    """The JSONL of a world with more pages than one reader block."""
+    _, train, _ = build_dataset(small_config(train_pages=PAGE_BLOCK + 8))
+    return pages_to_jsonl(train)
+
+
+class TestPageTable:
+    def test_sequence_of_records(self):
+        config = small_config(layout="fshape", v_len=4, h_count=2, h_len=3, n=3, m=4)
+        _, train, test = build_dataset(config)
+        records = list(train)
+        assert len(train) == len(records) == config.train_pages
+        assert [len(lst.items) for lst in records[0].lists] == [4, 3, 3]
+        assert train[0] == records[0] and train[-1] == records[-1]
+        with pytest.raises(IndexError):
+            train[len(train)]
+        part = train[1:4]
+        assert isinstance(part, PageTable) and list(part) == records[1:4]
+        whole = train + test
+        assert isinstance(whole, PageTable) and list(whole) == records + list(test)
+        assert (whole == train + test) is True and (whole != train) is True
+        assert PageTable.from_records(records) == train
+
+    def test_concatenation_widens_to_the_widest_page(self):
+        _, train, _ = build_dataset(small_config())
+        records = list(train[:3])
+        records[1].lists.append(records[1].lists[0])
+        records[2].lists[0].items = records[2].lists[0].items + [1, 2]
+        records[2].history = []
+        wide = PageTable.from_records(records)
+        assert wide.items.shape[1:] == (3, 6) and wide.history.shape[1] == 4
+        joined = train[:1] + wide[1:] + train[3:5]
+        assert list(joined) == records[:1] + records[1:] + list(train[3:5])
+        assert joined[1:3] == wide[1:] and joined[:1] == train[:1]
+        assert joined[:1] != wide[:1] + wide[:1]
+
+    def test_desk_world_tables_hold_at_most_6_mb(self):
+        """The two splits are one table of (P, n, m) arrays, not 2,500 records of lists."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            catalog, train, test = build_dataset(DESK)
+            del catalog
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(train) + len(test) == 2500
+        assert held <= 6 * 2**20, f"{held / 2**20:.1f} MB"
+
+    @pytest.mark.parametrize("config", [DESK, DESK_FSHAPE], ids=["desk", "desk-fshape"])
+    def test_jsonl_bytes_round_trip(self, config):
+        _, train, test = build_dataset(config)
+        text = pages_to_jsonl(train + test)
+        back = pages_from_jsonl(text)
+        assert back == train + test
+        assert pages_to_jsonl(back) == text
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda d: d.update(user=2**63), "a number outside the 64-bit range"),
+        (lambda d: d["history"].__setitem__(0, -2**63 - 1), "a number outside the 64-bit range"),
+        (lambda d: d["lists"][1]["items"].__setitem__(2, 2**64), "a number outside the 64-bit "
+                                                                  "range"),
+        (lambda d: d["lists"][0]["probs"].__setitem__(0, 10**400), "a number outside the "
+                                                                   "64-bit range"),
+        (lambda d: d["lists"][0].pop("rel"), "missing key 'rel'"),
+        (lambda d: d["lists"][0].update(clicks=[0, True]), "expected a list of int, got "
+                                                           "[0, True]"),
+    ])
+    @pytest.mark.parametrize("line", [1, PAGE_BLOCK + 2])
+    def test_malformed_line_named_in_any_block(self, block_text, edit, reason, line):
+        lines = block_text.splitlines()
+        data = json.loads(lines[line - 1])
+        edit(data)
+        lines[line - 1] = json.dumps(data)
+        with pytest.raises(DataError) as caught:
+            pages_from_jsonl("\n".join(lines))
+        assert str(caught.value) == f"page line {line}: {reason}"
+
+    def test_undecodable_line_named_in_a_later_block(self, block_text):
+        lines = block_text.splitlines()
+        lines[PAGE_BLOCK + 4] = lines[PAGE_BLOCK + 4][:-3]
+        with pytest.raises(DataError, match=f"^page line {PAGE_BLOCK + 5}: not JSON"):
+            pages_from_jsonl("\n".join(lines))
+

@@ -1,20 +1,23 @@
 """Training loop determinism, checkpoint format, evaluation, gradcheck."""
 
-import copy
 import dataclasses
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from par import trainer
 from par.config import TrainConfig, with_variant
-from par.data_oracle import ClickOracle, build_dataset, displayed_grid, pages_to_batch
+from par.data_oracle import (LIST_FIELDS, ClickOracle, ListRecord, PageTable, build_dataset,
+                             displayed_grid, pages_from_jsonl, pages_to_batch, pages_to_jsonl)
 from par.errors import ConfigError, ContractError, DataError, NumericError
 from par.metrics import utility
 from par.model import ParModel
 from par.scoring import rerank
-from par.trainer import Checkpoint, evaluate, gradcheck, tiny_gradcheck_config, train
+from par.trainer import (Checkpoint, evaluate, gradcheck, tiny_gradcheck_config, train,
+                         validate_dataset)
 
 
 def toy_config(**overrides) -> TrainConfig:
@@ -88,27 +91,135 @@ class TestTrain:
 
     def test_every_page_validated(self, toy_dataset):
         config, catalog, train_pages, _ = toy_dataset
-        pages = copy.deepcopy(train_pages)
+        pages = list(train_pages)
         last = pages[-1].lists[0]
         last.items, last.rel, last.clicks = last.items[:-1], last.rel[:-1], last.clicks[:-1]
         with pytest.raises(ConfigError, match=f"page {len(pages) - 1} list 0 has 3 items"):
-            train(config, pages, catalog)
-        pages = copy.deepcopy(train_pages)
+            train(config, PageTable.from_records(pages), catalog)
+        pages = list(train_pages)
         pages[-1].lists[1].init_order[0] = pages[-1].lists[1].init_order[1]
         with pytest.raises(DataError, match=f"page {len(pages) - 1} list 1"):
-            train(config, pages, catalog)
+            train(config, PageTable.from_records(pages), catalog)
         for bad_id in (config.vocab_size, 0):  # 0 is the padding id, never an item
-            pages = copy.deepcopy(train_pages)
+            pages = list(train_pages)
             pages[-1].history[0] = bad_id
             with pytest.raises(DataError, match=f"page {len(pages) - 1} history holds item "
                                                 f"ids outside 1..{config.vocab_size - 1}"):
-                train(config, pages, catalog)
+                train(config, PageTable.from_records(pages), catalog)
 
     def test_catalog_mismatch_rejected(self, toy_dataset):
         config, catalog, train_pages, _ = toy_dataset
         bad = dataclasses.replace(config, items_per_theme=13)
         with pytest.raises(ConfigError):
             train(bad, train_pages, catalog)
+
+
+def reference_validate(config, pages, catalog):
+    """validate_dataset's page checks as the per-page loop over records: the reference."""
+    layout, vocab = config.build_layout(), catalog.vocab_size
+    for k, page in enumerate(pages):
+        if page.history and not 1 <= min(page.history) <= max(page.history) < vocab:
+            raise DataError(f"page {k} history holds item ids outside 1..{vocab - 1}")
+        if len(page.lists) != layout.n:
+            raise ConfigError(f"page {k} has {len(page.lists)} lists, config expects {layout.n}")
+        for i, lst in enumerate(page.lists):
+            length = len(lst.items)
+            if length != layout.lengths[i]:
+                raise ConfigError(f"page {k} list {i} has {length} items, layout expects "
+                                  f"{layout.lengths[i]}")
+            if not lst.clicks:
+                raise ConfigError(f"page {k} carries no click labels; run labeling first")
+            if (len(lst.rel) != length or len(lst.clicks) != length
+                    or sorted(lst.init_order) != list(range(length))):
+                raise DataError(f"page {k} list {i}: rel, clicks and init_order must cover "
+                                f"its {length} items")
+            if not ({0, 1}.issuperset(lst.rel) and {0, 1}.issuperset(lst.clicks)):
+                raise DataError(f"page {k} list {i}: rel and clicks must be 0 or 1, got "
+                                f"rel {lst.rel!r:.60}, clicks {lst.clicks!r:.60}")
+            if not 1 <= min(lst.items) <= max(lst.items) < vocab:
+                raise DataError(f"page {k} list {i} holds item ids outside 1..{vocab - 1}")
+
+
+PARITY_WORLDS = {
+    "stacked": toy_config(train_pages=24, test_pages=1),
+    "fshape": toy_config(train_pages=24, test_pages=1, layout="fshape", v_len=4, h_count=2,
+                         h_len=3, n=3, m=4),
+}
+
+
+@pytest.fixture(scope="module")
+def parity_worlds():
+    return {name: (config, *build_dataset(config)[:2]) for name, config in PARITY_WORLDS.items()}
+
+
+CORRUPTIONS = ["short list", "long list", "short field", "long field", "list count",
+               "duplicate init_order", "item id", "history id", "rel", "clicks", "empty clicks"]
+
+
+def corrupt(data, kind: str, page, vocab: int) -> None:
+    """One random corruption of one list (or the history) of a page record."""
+    lst = data.draw(st.sampled_from(page.lists), label="list")
+    slot = data.draw(st.integers(0, len(lst.items) - 1), label="slot")
+    bad_id = data.draw(st.sampled_from([0, -1, vocab, vocab + 7]), label="id")
+    if kind == "short list":
+        for name in LIST_FIELDS:
+            setattr(lst, name, getattr(lst, name)[:-1])
+    elif kind == "long list":
+        for name, value in zip(LIST_FIELDS, (1, 0, len(lst.items), 0, 0.0)):
+            setattr(lst, name, getattr(lst, name) + [value])
+    elif kind in ("short field", "long field"):
+        name = data.draw(st.sampled_from(LIST_FIELDS), label="field")
+        values = getattr(lst, name)
+        setattr(lst, name, values[:-1] if kind == "short field" else values + values[:1])
+    elif kind == "list count":
+        if data.draw(st.booleans(), label="drop a list"):
+            page.lists.pop()
+        else:
+            page.lists.append(ListRecord(lst.theme, *(list(getattr(lst, name))
+                                                      for name in LIST_FIELDS)))
+    elif kind == "duplicate init_order":
+        lst.init_order[slot] = lst.init_order[slot - 1]
+    elif kind == "item id":
+        lst.items[slot] = bad_id
+    elif kind == "history id":
+        page.history[slot % len(page.history)] = bad_id
+    elif kind in ("rel", "clicks"):
+        getattr(lst, kind)[slot] = data.draw(st.sampled_from([2, -1]), label="label")
+    else:
+        lst.clicks = []
+
+
+class TestValidationParity:
+    """The table's one-pass screen raises what the per-page loop over records raises."""
+
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_one_corruption_on_one_page(self, parity_worlds, kind, data):
+        config, catalog, train_pages = parity_worlds[
+            data.draw(st.sampled_from(sorted(parity_worlds)), label="world")]
+        pages = list(train_pages)
+        page = pages[data.draw(st.integers(0, len(pages) - 1), label="page")]
+        corrupt(data, kind, page, catalog.vocab_size)
+        try:
+            reference_validate(config, pages, catalog)
+            want = None
+        except (ConfigError, DataError) as exc:
+            want = exc
+        table = PageTable.from_records(pages)
+        for table in (table, pages_from_jsonl(pages_to_jsonl(table))):
+            if want is None:
+                validate_dataset(config, table, catalog)
+                continue
+            with pytest.raises((ConfigError, DataError)) as got:
+                validate_dataset(config, table, catalog)
+            assert type(got.value) is type(want)
+            assert str(got.value) == str(want)
+
+    def test_clean_split_passes(self, parity_worlds):
+        for config, catalog, train_pages in parity_worlds.values():
+            reference_validate(config, list(train_pages), catalog)
+            validate_dataset(config, train_pages, catalog)
 
 
 class TestExaminationStart:
