@@ -380,6 +380,72 @@ def _concat(tables: list[PageTable]) -> PageTable:
     return PageTable(*columns)
 
 
+def check_pages(pages: PageTable, layout: PageLayout, vocab: int) -> None:
+    """Raise the error of the first page rule that `pages` break.
+
+    The lowest-index failing page fails, with the first rule it breaks in
+    reading order: history ids, list count, then list by list its length,
+    clicks present, rel/clicks/init_order coverage, 0/1 labels and item ids.
+    A list of the layout's length that rel, clicks and init_order cover holds
+    all its values within the layout's (n, m) slots, so each rule reads the
+    table cut to that shape.
+    """
+    count, n, m = len(pages), layout.n, layout.m
+    slot = np.arange(m)
+    checked = ("items", "rel", "init_order", "clicks")
+    sizes = fit_shape(pages.lengths, (count, n, len(LIST_FIELDS)))
+    length, rel_len, order_len, clicks_len = (sizes[..., LIST_FIELDS.index(f)] for f in checked)
+    items, rel, order, clicks = (fit_shape(getattr(pages, f), (count, n, m)) for f in checked)
+
+    def within(size: np.ndarray) -> np.ndarray:
+        return slot < size[..., None]
+
+    def outside(ids: np.ndarray) -> np.ndarray:
+        return (ids < 1) | (ids >= vocab)
+
+    def non_binary(labels: np.ndarray, size: np.ndarray) -> np.ndarray:
+        return np.any(within(size) & (labels != 0) & (labels != 1), axis=-1)
+
+    def shown(labels: np.ndarray, k: int, i: int) -> list[int]:
+        return labels[k, i, :length[k, i]].tolist()
+
+    sorted_order = np.sort(np.where(within(order_len), order, m), axis=-1)
+    history_slot = np.arange(pages.history.shape[1]) < pages.history_len[:, None]
+    page_rules = [  # (P,) masks and the error each raises for page k
+        (np.any(outside(pages.history) & history_slot, axis=1),
+         lambda k: DataError(f"page {k} history holds item ids outside 1..{vocab - 1}")),
+        (pages.list_count != n,
+         lambda k: ConfigError(f"page {k} has {pages.list_count[k]} lists, config expects {n}")),
+    ]
+    list_rules = [  # (P, n) masks and the error each raises for list i of page k
+        (length != np.array(layout.lengths),
+         lambda k, i: ConfigError(f"page {k} list {i} has {length[k, i]} items, layout expects "
+                                  f"{layout.lengths[i]}")),
+        (clicks_len == 0,
+         lambda k, i: ConfigError(f"page {k} carries no click labels; run labeling first")),
+        ((rel_len != length) | (clicks_len != length) | (order_len != length)
+         | np.any(within(length) & (sorted_order != slot), axis=-1),
+         lambda k, i: DataError(f"page {k} list {i}: rel, clicks and init_order must cover "
+                                f"its {length[k, i]} items")),
+        (non_binary(rel, rel_len) | non_binary(clicks, clicks_len),
+         lambda k, i: DataError(f"page {k} list {i}: rel and clicks must be 0 or 1, got "
+                                f"rel {shown(rel, k, i)!r:.60}, "
+                                f"clicks {shown(clicks, k, i)!r:.60}")),
+        (np.any(within(length) & outside(items), axis=-1),
+         lambda k, i: DataError(f"page {k} list {i} holds item ids outside 1..{vocab - 1}")),
+    ]
+    # (P, rules) in reading order: the page rules, then each list's rules in turn
+    failing = np.concatenate(
+        [np.stack([mask for mask, _ in page_rules], axis=1),
+         np.stack([mask for mask, _ in list_rules], axis=2).reshape(count, -1)], axis=1)
+    if failing.any():
+        k, rule = divmod(int(np.argmax(failing)), failing.shape[1])
+        if rule < len(page_rules):
+            raise page_rules[rule][1](k)
+        i, rule = divmod(rule - len(page_rules), len(list_rules))
+        raise list_rules[rule][1](k, i)
+
+
 def generate_pages(catalog: Catalog, users: list[UserProfile], layout: PageLayout,
                    pos_per_list: int, master_seed: int
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

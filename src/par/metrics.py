@@ -39,34 +39,32 @@ def sctr(probs: np.ndarray, lists: list[int] | None = None) -> float:
     return float(shown.reshape(len(shown), -1).sum(axis=1).mean())
 
 
-def _per_row(values: np.ndarray) -> np.ndarray | float:
-    return values if values.ndim else float(values)
-
-
-def ndcg(relevance) -> np.ndarray | float:
+def ndcg(relevance) -> np.ndarray:
     """Binary-gain nDCG over the last axis with log2(rank+1) discount.
 
-    0 where nothing is relevant; a float for one ranking, an array otherwise.
+    The array over the leading axes (0-d for one ranking); 0 where nothing is
+    relevant.
     """
     rel = np.asarray(relevance, dtype=np.float64)
     discount = np.log2(np.arange(1, rel.shape[-1] + 1) + 1)
     dcg = (rel / discount).sum(axis=-1)
     idcg = (np.flip(np.sort(rel, axis=-1), axis=-1) / discount).sum(axis=-1)
     found = rel.sum(axis=-1) > 0
-    return _per_row(np.where(found, dcg / np.where(found, idcg, 1.0), 0.0))
+    return np.where(found, dcg / np.where(found, idcg, 1.0), 0.0)
 
 
-def average_precision(relevance) -> np.ndarray | float:
+def average_precision(relevance) -> np.ndarray:
     """Mean precision@k over the relevant ranks of the last axis.
 
-    0 where nothing is relevant; a float for one ranking, an array otherwise.
+    The array over the leading axes (0-d for one ranking); 0 where nothing is
+    relevant.
     """
     rel = np.asarray(relevance, dtype=np.float64)
     ranks = np.arange(1, rel.shape[-1] + 1)
     total = rel.sum(axis=-1)
     found = total > 0
     precision = (rel * np.cumsum(rel, axis=-1) / ranks).sum(axis=-1)
-    return _per_row(np.where(found, precision / np.where(found, total, 1.0), 0.0))
+    return np.where(found, precision / np.where(found, total, 1.0), 0.0)
 
 
 @dataclass

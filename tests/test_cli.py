@@ -172,6 +172,17 @@ class TestConfigFile:
         assert len(rule) == 1, rule
         assert set(re.findall(r"`([a-z][a-z0-9_]*)`", rule[0])) == _MAY_BE_ZERO
 
+    def test_fshape_config_is_the_desk_config_on_an_fshape_page(self):
+        """configs/fshape.cfg builds a 4 x 10 F-shape page and changes only the layout keys."""
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        desk, fshape = load_config(configs / "desk.cfg"), load_config(configs / "fshape.cfg")
+        layout = fshape.build_layout()
+        assert (layout.n, layout.m) == (4, 10)
+        assert layout.roles == ("v", "h1", "h2", "h3")
+        differ = {f.name for f in dataclasses.fields(TrainConfig)
+                  if getattr(desk, f.name) != getattr(fshape, f.name)}
+        assert differ == {"layout", "v_len", "h_count"}  # h_len = 10 is the default
+
     def test_comments_and_blanks_ignored(self):
         config = parse_config_text("# comment\n\nseed = 9\n")
         assert config.seed == 9

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from par import trainer
@@ -157,10 +157,20 @@ CORRUPTIONS = ["short list", "long list", "short field", "long field", "list cou
 
 
 def corrupt(data, kind: str, page, vocab: int) -> None:
-    """One random corruption of one list (or the history) of a page record."""
+    """One random corruption of one list (or the history) of a page record.
+
+    An earlier corruption may have cut a field or dropped lists, so a slot is
+    drawn within the field it writes, and a corruption of an emptied field or
+    of a page with no list left rejects the example.
+    """
+    assume(page.lists)
     lst = data.draw(st.sampled_from(page.lists), label="list")
-    slot = data.draw(st.integers(0, len(lst.items) - 1), label="slot")
     bad_id = data.draw(st.sampled_from([0, -1, vocab, vocab + 7]), label="id")
+
+    def slot_of(values: list) -> int:
+        assume(values)
+        return data.draw(st.integers(0, len(values) - 1), label="slot")
+
     if kind == "short list":
         for name in LIST_FIELDS:
             setattr(lst, name, getattr(lst, name)[:-1])
@@ -178,29 +188,41 @@ def corrupt(data, kind: str, page, vocab: int) -> None:
             page.lists.append(ListRecord(lst.theme, *(list(getattr(lst, name))
                                                       for name in LIST_FIELDS)))
     elif kind == "duplicate init_order":
+        slot = slot_of(lst.init_order)
         lst.init_order[slot] = lst.init_order[slot - 1]
     elif kind == "item id":
-        lst.items[slot] = bad_id
+        lst.items[slot_of(lst.items)] = bad_id
     elif kind == "history id":
-        page.history[slot % len(page.history)] = bad_id
+        page.history[slot_of(page.history)] = bad_id
     elif kind in ("rel", "clicks"):
-        getattr(lst, kind)[slot] = data.draw(st.sampled_from([2, -1]), label="label")
+        values = getattr(lst, kind)
+        values[slot_of(values)] = data.draw(st.sampled_from([2, -1]), label="label")
     else:
         lst.clicks = []
 
 
 class TestValidationParity:
-    """The table's one-pass screen raises what the per-page loop over records raises."""
+    """The table's one array pass raises what the per-page loop over records raises."""
 
     @pytest.mark.parametrize("kind", CORRUPTIONS)
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_one_corruption_on_one_page(self, parity_worlds, kind, data):
+        """`kind` and up to two more corruptions, each on a random page and list.
+
+        A later corruption often hits a page hit before, so the error raised
+        pins which page, list and rule come first.
+        """
         config, catalog, train_pages = parity_worlds[
             data.draw(st.sampled_from(sorted(parity_worlds)), label="world")]
         pages = list(train_pages)
-        page = pages[data.draw(st.integers(0, len(pages) - 1), label="page")]
-        corrupt(data, kind, page, catalog.vocab_size)
+        extra = data.draw(st.lists(st.sampled_from(CORRUPTIONS), max_size=2), label="more")
+        hit = []
+        for each in [kind, *extra]:
+            k = data.draw(st.integers(0, len(pages) - 1) | st.sampled_from(hit or [0]),
+                          label="page")
+            hit.append(k)
+            corrupt(data, each, pages[k], catalog.vocab_size)
         try:
             reference_validate(config, pages, catalog)
             want = None
